@@ -5,7 +5,7 @@
 // Absolute cycle counts differ from the paper's dual-socket X5680 — this
 // container is not that machine — but the *shapes* (who wins, by what
 // factor, where the cache knee falls) are the reproduction target; see
-// EXPERIMENTS.md.
+// docs/BENCHMARKS.md.
 //
 // Environment knobs (all benches):
 //   DM_SCALE    divisor applied to the paper's tuple counts (default 25,

@@ -7,7 +7,8 @@
 // distributions, verifies the quoted aggregates (>80% reads OLTP, >90%
 // OLAP, ~17%/~7% writes, TPC-C 46% writes), then *executes* each mix
 // against a live table and reports realized counts and per-type costs —
-// the substitution documented in DESIGN.md.
+// the substitution documented in docs/BENCHMARKS.md ("Documented
+// deviations").
 
 #include <cstdio>
 

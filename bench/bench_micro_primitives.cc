@@ -1,7 +1,8 @@
 // Copyright (c) 2026 The DeltaMerge Authors.
 // google-benchmark micro-benchmarks of the library's hot primitives:
 // packed-vector access, CSB+ insert/lookup, dictionary merge, merge-path
-// splits. These are the per-operation costs behind the figure benches.
+// splits, the durability checksum. These are the per-operation costs
+// behind the figure benches.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 #include "simd/simd_kernels.h"
 #include "storage/csb_tree.h"
 #include "storage/packed_vector.h"
+#include "util/crc32.h"
 #include "util/cycle_clock.h"
 #include "util/random.h"
 #include "workload/table_builder.h"
@@ -140,6 +142,22 @@ void BM_FullColumnMerge(benchmark::State& state) {
                           static_cast<int64_t>(nm + nm / 100));
 }
 BENCHMARK(BM_FullColumnMerge)->Arg(1 << 20)->Arg(1 << 22);
+
+// CRC-32 over one buffer, measured on the kernel's own working set: 4 KiB
+// stays in L1 (the checksum's compute roof), 8 MiB is one WAL batch payload
+// streamed from memory. bytes_per_second is the figure to compare against.
+void BM_Crc32(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<uint8_t> buf(n);
+  Rng rng(22);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(8 << 20);
 
 // ---------------------------------------------------------------------------
 // SIMD scan kernels (src/simd/simd_kernels.h). Each reports cycles_per_code

@@ -52,7 +52,7 @@ int main() {
                 "step2=%.2f cpt (paper: 14.2, measured 15.0)\n",
                 p100.step1a_cpt, p100.step2_cpt);
     std::printf("             step1 total=%.2f cpt (paper model: 6.9, "
-                "measured 6.97; see EXPERIMENTS.md on the 1b term)\n",
+                "measured 6.97; see docs/BENCHMARKS.md on the 1b term)\n",
                 p100.step1a_cpt + p100.step1b_cpt);
 
     MergeShape s1 = MergeShape::FromParameters(100'000'000, 1'000'000,

@@ -10,7 +10,7 @@
 //
 // NOTE: this container exposes few cores; with DM_THREADS=1 the "parallel"
 // column degenerates and scaling ≈ 1x — the implementation is the paper's
-// N_T-thread algorithm either way (EXPERIMENTS.md discusses this).
+// N_T-thread algorithm either way (docs/BENCHMARKS.md discusses this).
 // The parallel delta update uses one task per column (§7.2), so it needs
 // DM_COLUMNS > 1 to have work to spread; we measure NC=6 column instances.
 

@@ -5,7 +5,7 @@
 // write-optimized delta partition and a linear-time, multi-core merge,
 // reproducing Krueger et al., "Fast Updates on Read-Optimized Databases
 // Using Multi-Core CPUs", VLDB 2011. See README.md for a quickstart and
-// DESIGN.md for the architecture.
+// docs/ARCHITECTURE.md for the architecture.
 
 #pragma once
 

@@ -4,8 +4,15 @@
 // Every write-ahead-log record and checkpoint file carries a CRC so that
 // recovery can distinguish "the tail of the log was torn mid-write by the
 // crash" (expected; recover everything before it) from "this record is
-// intact" (replay it). Software table-driven implementation — the WAL write
-// path is dominated by the fsync, not the checksum.
+// intact" (replay it).
+//
+// Kernel selection is compile-time, like simd/simd_kernels.h: with PCLMULQDQ
+// and SSE4.1 available (-march=native on any x86 since 2010), buffers of 64
+// bytes or more fold four 128-bit lanes per 64-byte step with carry-less
+// multiplies and Barrett-reduce (Gopal et al., Intel 2009); everything else,
+// and the sub-16-byte tail, runs slicing-by-8 tables. Both produce the same
+// CRC as the byte-at-a-time definition, so on-disk formats do not depend on
+// the build.
 
 #pragma once
 

@@ -57,7 +57,7 @@ Result<std::unique_ptr<FileWriter>> FileWriter::Create(
 
 Status FileWriter::Write(const void* data, size_t n) {
   if (fd_ < 0) return Status::FailedPrecondition("writer is closed");
-  crc_ = Crc32(data, n, crc_);
+  if (crc_armed_) crc_ = Crc32(data, n, crc_);
   bytes_written_ += n;
   const auto* p = static_cast<const uint8_t*>(data);
   // Large writes bypass the buffer once it has been drained.
@@ -138,7 +138,7 @@ Result<size_t> FileReader::ReadUpTo(void* out, size_t n) {
     buf_pos_ += take;
     got += take;
   }
-  crc_ = Crc32(dst, got, crc_);
+  if (crc_armed_) crc_ = Crc32(dst, got, crc_);
   offset_ += got;
   return got;
 }

@@ -2,12 +2,18 @@
 // Buffered POSIX file I/O for the durability layer (src/persist).
 //
 // FileWriter batches small writes (a WAL frame, a checkpoint field) into one
-// write(2) per buffer fill, tracks a running CRC-32 of every byte written,
-// and separates Flush (hand bytes to the OS) from Sync (fdatasync — the
-// durability point the WAL sync policies are defined against). FileReader
-// is the sequential mirror with the same running CRC, so a checkpoint can
-// be validated while it streams in. Free helpers cover the directory-level
-// crash-consistency idioms: atomic rename, directory fsync, listing.
+// write(2) per buffer fill, keeps an optional running CRC-32 of the bytes
+// written, and separates Flush (hand bytes to the OS) from Sync (fdatasync —
+// the durability point the WAL sync policies are defined against).
+// FileReader is the sequential mirror with the same running CRC, so a
+// checkpoint can be validated while it streams in. Free helpers cover the
+// directory-level crash-consistency idioms: atomic rename, directory fsync,
+// listing.
+//
+// The running CRC is armed by the first ResetCrc() and costs nothing before
+// it. Checkpoints and manifests arm it right after their magic; WAL
+// segments never do, because every frame already carries its own CRC —
+// so each durable byte is checksummed exactly once.
 //
 // Exception-free like the rest of the tree: failures surface as Status.
 
@@ -63,9 +69,13 @@ class FileWriter {
   const std::string& path() const { return path_; }
   uint64_t bytes_written() const { return bytes_written_; }
 
-  /// Running CRC-32 of every byte passed to Write since the last ResetCrc.
+  /// Running CRC-32 of every byte passed to Write since the last ResetCrc;
+  /// 0 until the first ResetCrc arms it.
   uint32_t crc() const { return crc_; }
-  void ResetCrc() { crc_ = 0; }
+  void ResetCrc() {
+    crc_ = 0;
+    crc_armed_ = true;
+  }
 
  private:
   FileWriter(std::string path, int fd);
@@ -75,6 +85,7 @@ class FileWriter {
   std::vector<uint8_t> buffer_;
   uint64_t bytes_written_ = 0;
   uint32_t crc_ = 0;
+  bool crc_armed_ = false;
 };
 
 /// Buffered sequential reader with the same running CRC as FileWriter.
@@ -103,9 +114,13 @@ class FileReader {
   uint64_t offset() const { return offset_; }
   uint64_t file_size() const { return file_size_; }
 
-  /// Running CRC-32 of every byte returned since the last ResetCrc.
+  /// Running CRC-32 of every byte returned since the last ResetCrc; 0
+  /// until the first ResetCrc arms it.
   uint32_t crc() const { return crc_; }
-  void ResetCrc() { crc_ = 0; }
+  void ResetCrc() {
+    crc_ = 0;
+    crc_armed_ = true;
+  }
 
  private:
   FileReader(std::string path, int fd, uint64_t file_size);
@@ -118,6 +133,7 @@ class FileReader {
   size_t buf_pos_ = 0;
   size_t buf_len_ = 0;
   uint32_t crc_ = 0;
+  bool crc_armed_ = false;
 };
 
 /// mkdir -p (single level is enough for the persist layout).

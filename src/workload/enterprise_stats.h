@@ -3,8 +3,9 @@
 //
 // The paper's §2 analyses 12 SAP Business Suite customer systems (73,979
 // tables, 32B records). The raw customer data is proprietary; this module is
-// the documented substitution (DESIGN.md §1): it encodes the *published*
-// statistics — Figure 1's query-type mix, Figure 2's table-size histogram,
+// the documented substitution (docs/BENCHMARKS.md, "Documented
+// deviations"): it encodes the *published* statistics — Figure 1's
+// query-type mix, Figure 2's table-size histogram,
 // Figure 3's 144 large tables, Figure 4's distinct-value buckets, and the
 // VBAP merge-duration scenario — and synthesizes table populations and
 // workloads drawn from those distributions. Everything the merge algorithm

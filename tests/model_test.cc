@@ -83,7 +83,7 @@ TEST(CostModel, PaperStep2CachedWorkedExample) {
 // implementation of the printed equations (9, 10, 15 summed, at stream
 // bandwidth) gives 7.8 cpt for Step 1(b) — the paper's quoted 6.6 is not
 // reconstructible from the printed equations alone; we assert our model is
-// in that band and document the delta in EXPERIMENTS.md.
+// in that band and document the delta in docs/BENCHMARKS.md.
 TEST(CostModel, PaperStep1TotalIsInBand) {
   const MergeShape s = PaperShape100Unique();
   const MachineProfile m = MachineProfile::Paper();

@@ -20,6 +20,7 @@
 #include "core/table.h"
 #include "durable_torture_util.h"
 #include "persist/checkpoint.h"
+#include "persist/durable_partitioned_table.h"
 #include "persist/durable_table.h"
 #include "persist/wal.h"
 #include "storage/dictionary.h"
@@ -51,6 +52,40 @@ using persist::WalWriter;
 using ScratchDir = testref::TortureScratchDir;
 
 // --- CRC-32 -----------------------------------------------------------------
+
+// The byte-at-a-time table loop Crc32 used before the slicing-by-8 and
+// PCLMULQDQ kernels: the oracle every kernel must equal bit for bit.
+struct BytewiseCrc32 {
+  uint32_t table[256];
+
+  BytewiseCrc32() {
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+      table[i] = c;
+    }
+  }
+
+  /// Advances the pre-inverted register `c` by one byte.
+  uint32_t Step(uint32_t c, uint8_t byte) const {
+    return table[(c ^ byte) & 0xFF] ^ (c >> 8);
+  }
+
+  uint32_t operator()(const uint8_t* p, size_t n, uint32_t seed = 0) const {
+    uint32_t c = seed ^ 0xFFFFFFFFu;
+    for (size_t i = 0; i < n; ++i) c = Step(c, p[i]);
+    return c ^ 0xFFFFFFFFu;
+  }
+};
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  std::vector<uint8_t> bytes(n);
+  Rng rng(seed);
+  for (auto& b : bytes) b = static_cast<uint8_t>(rng.Next());
+  return bytes;
+}
 
 TEST(Crc32Test, KnownVectors) {
   // The canonical CRC-32 ("check") value for "123456789".
@@ -100,6 +135,54 @@ TEST(Crc32Test, CombineMatchesAcrossLengthScales) {
   }
 }
 
+TEST(Crc32Test, MatchesBytewiseOracleAtEveryLengthAndOffset) {
+  // Every length 0-4096 from every 16-byte alignment: crosses the fold
+  // kernel's 64-byte entry, each 16-byte block boundary of its tail, and
+  // every slicing-by-8 residue. The oracle's register advances one byte per
+  // length, so each expected value costs a single table step.
+  const BytewiseCrc32 oracle;
+  constexpr size_t kMaxLen = 4096;
+  for (const uint64_t seed : {1ull, 2ull, 3ull}) {
+    const std::vector<uint8_t> buf = RandomBytes(kMaxLen + 16, seed);
+    for (size_t offset = 0; offset < 16; ++offset) {
+      const uint8_t* p = buf.data() + offset;
+      uint32_t reg = 0xFFFFFFFFu;
+      for (size_t len = 0;; ++len) {
+        ASSERT_EQ(Crc32(p, len), reg ^ 0xFFFFFFFFu)
+            << "seed " << seed << " offset " << offset << " len " << len;
+        if (len == kMaxLen) break;
+        reg = oracle.Step(reg, p[len]);
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesBytewiseOracleOnLargeBuffer) {
+  const BytewiseCrc32 oracle;
+  const std::vector<uint8_t> buf = RandomBytes(8u << 20, 4);  // a WAL batch
+  EXPECT_EQ(Crc32(buf.data(), buf.size()), oracle(buf.data(), buf.size()));
+}
+
+TEST(Crc32Test, SeededAndCombinedAgreeAcrossFoldBoundaries) {
+  // Split points around the 16- and 64-byte fold boundaries on both sides:
+  // a seeded continuation must enter the fold with the carried register,
+  // and Crc32Combine must agree with both.
+  const BytewiseCrc32 oracle;
+  const std::vector<uint8_t> buf = RandomBytes(400, 5);
+  for (const size_t n : {15ul, 16ul, 17ul, 63ul, 64ul, 65ul, 79ul, 80ul,
+                         127ul, 128ul, 129ul, 143ul, 200ul, 400ul}) {
+    const uint32_t whole = oracle(buf.data(), n);
+    for (size_t split = 0; split <= n; ++split) {
+      const uint32_t a = Crc32(buf.data(), split);
+      const uint32_t b = Crc32(buf.data() + split, n - split);
+      ASSERT_EQ(Crc32(buf.data() + split, n - split, a), whole)
+          << "n " << n << " split " << split;
+      ASSERT_EQ(Crc32Combine(a, b, n - split), whole)
+          << "n " << n << " split " << split;
+    }
+  }
+}
+
 // --- file I/O ---------------------------------------------------------------
 
 TEST(FileIoTest, WriteReadRoundtripWithCrc) {
@@ -110,11 +193,17 @@ TEST(FileIoTest, WriteReadRoundtripWithCrc) {
     auto w = FileWriter::Create(path);
     ASSERT_TRUE(w.ok());
     auto& out = *w.ValueOrDie();
+    // The running CRC costs nothing until ResetCrc arms it (WAL segments
+    // never do: their frames carry their own CRCs).
     ASSERT_TRUE(out.WriteU32(0xdecafbad).ok());
+    EXPECT_EQ(out.crc(), 0u);
+    out.ResetCrc();
     ASSERT_TRUE(out.WriteU64(0x0123456789abcdefull).ok());
     std::vector<uint8_t> big(300 * 1024, 0x5a);  // exceeds the buffer
     ASSERT_TRUE(out.Write(big.data(), big.size()).ok());
     write_crc = out.crc();
+    const uint64_t second = 0x0123456789abcdefull;
+    EXPECT_EQ(write_crc, Crc32(big.data(), big.size(), Crc32(&second, 8)));
     ASSERT_TRUE(out.Sync().ok());
     ASSERT_TRUE(out.Close().ok());
   }
@@ -125,6 +214,8 @@ TEST(FileIoTest, WriteReadRoundtripWithCrc) {
   uint32_t a = 0;
   uint64_t b = 0;
   ASSERT_TRUE(in.ReadU32(&a).ok());
+  EXPECT_EQ(in.crc(), 0u);
+  in.ResetCrc();
   ASSERT_TRUE(in.ReadU64(&b).ok());
   EXPECT_EQ(a, 0xdecafbadu);
   EXPECT_EQ(b, 0x0123456789abcdefull);
@@ -1179,6 +1270,97 @@ TEST(DurableTableTest, OutOfRangeDeleteInWalFailsRecovery) {
     wal.ValueOrDie()->Append(WalRecordType::kDelete, Payload({99}));
   }
   EXPECT_FALSE(DurableTable::Open(dir.path(), TestSchema(), {}).ok());
+}
+
+// --- on-disk format compatibility -------------------------------------------
+
+struct GoldenFile {
+  const char* path;  ///< relative to the table directory
+  uint64_t size;
+  uint32_t crc;      ///< Crc32 of the whole file
+};
+
+// Every file of the fixed-seed directory FormatCompatTest writes, recorded
+// with the byte-at-a-time Crc32 that wrote the format's first directories.
+// A mismatch means the bytes a WAL frame, checkpoint or manifest puts on
+// disk changed — directories written by older builds would no longer be
+// the ones this build writes (and, for a CRC kernel change, would no
+// longer validate).
+constexpr GoldenFile kGoldenFiles[] = {
+    {"manifest-00000000000000000004.dmpm", 103, 0xaaa72ff0},
+    {"seg-000000/ckpt-00000000000000000217.dmck", 11786, 0x55a7e5b5},
+    {"seg-000000/wal-00000000000000000217.log", 6983, 0x935f3f7a},
+    {"seg-000001/ckpt-00000000000000000206.dmck", 11702, 0x0822eb57},
+    {"seg-000001/wal-00000000000000000206.log", 1601, 0xaec340a7},
+    {"seg-000002/ckpt-00000000000000000159.dmck", 8966, 0x9ab56fc8},
+    {"seg-000002/wal-00000000000000000159.log", 4669, 0xb86dcec2},
+    {"seg-000003/wal-00000000000000000001.log", 5952, 0x3ca71d68},
+};
+
+TEST(FormatCompatTest, FixedSeedDirectoryIsByteIdenticalAndReopens) {
+  using testref::kTortureKeyDomain;
+  constexpr uint64_t kSeed = 1212;
+  constexpr uint64_t kCapacity = 300;
+  const std::vector<WriteOp> ops =
+      GenerateWriteOps(3, 1200, kTortureKeyDomain, kSeed);
+  // Row, batch, update, delete and transaction records all reach the WAL.
+  const std::vector<WriteOp> schedule = GroupIntoTransactions(
+      CoalesceInsertBatches(ops, 32), /*max_txn_ops=*/6, kSeed);
+  ScratchDir dir("golden");
+  {
+    auto opened = persist::DurablePartitionedTable::Open(
+        dir.path(), testref::TortureSchema(), kCapacity, {});
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    WriteScheduleOptions sched;
+    sched.merge_every = 250;  // checkpoints, rotated and dropped WAL segments
+    RunPartitionedWriteSchedule(&opened.ValueOrDie()->table(), schedule,
+                                sched);
+  }
+
+  // Every file the directory holds, sorted by relative path.
+  std::vector<std::string> files;
+  auto top = ListDir(dir.path());
+  ASSERT_TRUE(top.ok());
+  for (const std::string& name : top.ValueOrDie()) {
+    auto inner = ListDir(dir.path() + "/" + name);
+    if (!inner.ok()) {
+      files.push_back(name);
+      continue;
+    }
+    for (const std::string& leaf : inner.ValueOrDie()) {
+      files.push_back(name + "/" + leaf);
+    }
+  }
+  std::sort(files.begin(), files.end());
+  std::string actual;
+  for (const std::string& file : files) {
+    auto in = FileReader::Open(dir.path() + "/" + file);
+    ASSERT_TRUE(in.ok());
+    std::vector<uint8_t> bytes(in.ValueOrDie()->file_size());
+    ASSERT_TRUE(in.ValueOrDie()->Read(bytes.data(), bytes.size()).ok());
+    char line[160];
+    std::snprintf(line, sizeof(line), "    {\"%s\", %zu, 0x%08x},\n",
+                  file.c_str(), bytes.size(),
+                  Crc32(bytes.data(), bytes.size()));
+    actual += line;
+  }
+  std::string expected;
+  for (const GoldenFile& g : kGoldenFiles) {
+    char line[160];
+    std::snprintf(line, sizeof(line), "    {\"%s\", %llu, 0x%08x},\n",
+                  g.path, static_cast<unsigned long long>(g.size), g.crc);
+    expected += line;
+  }
+  EXPECT_EQ(actual, expected);
+
+  // The directory reopens to exactly the logical state that wrote it.
+  auto reopened = persist::DurablePartitionedTable::Open(
+      dir.path(), testref::TortureSchema(), kCapacity, {});
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_TRUE(reopened.ValueOrDie()->recovery().manifest_loaded);
+  testref::ExpectTableMatchesModel(reopened.ValueOrDie()->table(),
+                                   testref::ModelPrefix(ops, ops.size()),
+                                   kSeed);
 }
 
 }  // namespace
