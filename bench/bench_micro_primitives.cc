@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/merge_algorithms.h"
@@ -213,6 +214,24 @@ void BM_SimdCountRangePacked(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdCountRangePacked)->Arg(8)->Arg(16)->Arg(24);
 
+// The equality kernel a one-code range dispatches to
+// (query::CountMain); compare with BM_SimdCountRangePacked at each width.
+void BM_SimdCountEqualPacked(benchmark::State& state) {
+  const uint8_t bits = static_cast<uint8_t>(state.range(0));
+  const uint64_t n = 1 << 22;
+  const PackedVector v = RandomCodes(n, bits, 11);
+  const uint32_t code = static_cast<uint32_t>(LowBitsMask(bits) / 3);
+  uint64_t cycles = 0, codes = 0;
+  for (auto _ : state) {
+    const uint64_t t0 = CycleClock::Now();
+    benchmark::DoNotOptimize(simd::CountEqualPacked(v, 0, n, code));
+    cycles += CycleClock::Now() - t0;
+    codes += n;
+  }
+  SetScanCounters(state, cycles, codes, bits / 8.0);
+}
+BENCHMARK(BM_SimdCountEqualPacked)->Arg(8)->Arg(16)->Arg(24);
+
 void BM_SimdCollectRangePacked(benchmark::State& state) {
   const uint8_t bits = 16;
   const uint64_t n = 1 << 22;
@@ -236,8 +255,12 @@ void BM_SimdCollectRangePacked(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdCollectRangePacked);
 
+// The two ways to sum a main partition, at a dictionary of 2^bits keys
+// (17 bits is the e2e olap_scan column's code width): the translate kernel
+// the read path runs, and a histogram of codes folded against the
+// dictionary, which group_by.h's kernel makes available.
 void BM_SimdSumPackedTranslated(benchmark::State& state) {
-  const uint8_t bits = 16;
+  const uint8_t bits = static_cast<uint8_t>(state.range(0));
   const uint64_t n = 1 << 22;
   const PackedVector v = RandomCodes(n, bits, 13);
   std::vector<uint64_t> table(1ull << bits);
@@ -254,7 +277,32 @@ void BM_SimdSumPackedTranslated(benchmark::State& state) {
   // No pct_of_bw: the dictionary gather's traffic is access-dependent.
   SetScanCounters(state, cycles, codes, 0.0);
 }
-BENCHMARK(BM_SimdSumPackedTranslated);
+BENCHMARK(BM_SimdSumPackedTranslated)->Arg(16)->Arg(17);
+
+void BM_SimdHistogramPacked(benchmark::State& state) {
+  const uint8_t bits = static_cast<uint8_t>(state.range(0));
+  const uint64_t n = 1 << 22;
+  const PackedVector v = RandomCodes(n, bits, 13);
+  std::vector<uint64_t> table(1ull << bits);
+  Rng rng(14);
+  for (auto& t : table) t = rng.Next();
+  std::vector<uint64_t> histogram(table.size());
+  uint64_t cycles = 0, codes = 0;
+  for (auto _ : state) {
+    const uint64_t t0 = CycleClock::Now();
+    std::fill(histogram.begin(), histogram.end(), 0);
+    simd::HistogramPacked(v, 0, n, histogram.data());
+    uint64_t sum = 0;
+    for (size_t c = 0; c < histogram.size(); ++c) {
+      sum += table[c] * histogram[c];
+    }
+    benchmark::DoNotOptimize(sum);
+    cycles += CycleClock::Now() - t0;
+    codes += n;
+  }
+  SetScanCounters(state, cycles, codes, 0.0);
+}
+BENCHMARK(BM_SimdHistogramPacked)->Arg(16)->Arg(17);
 
 void BM_SimdCountRangePackedMasked(benchmark::State& state) {
   const uint8_t bits = 16;

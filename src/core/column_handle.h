@@ -16,9 +16,6 @@
 #include "core/merge_algorithms.h"
 #include "core/merge_types.h"
 #include "core/snapshot.h"
-#include "query/aggregate.h"
-#include "query/lookup.h"
-#include "query/range_select.h"
 #include "storage/column.h"
 #include "util/macros.h"
 
@@ -44,18 +41,11 @@ class ColumnBase {
   // --- reads ---
   /// The integer ordering key stored at `row` (across all partitions).
   virtual uint64_t GetKey(uint64_t row) const = 0;
-  /// Tuples (all partitions) whose value key equals `key`.
-  virtual uint64_t CountEqualsKey(uint64_t key) const = 0;
-  /// Tuples (all partitions) whose value key lies in [lo, hi].
-  virtual uint64_t CountRangeKeys(uint64_t lo, uint64_t hi) const = 0;
-  /// Sum of value keys over all partitions (modulo 2^64 for convenience).
-  virtual uint64_t SumKeys() const = 0;
-
-  // --- snapshot reads ---
   /// Captures a consistent view of this column spanning the first
-  /// `visible_rows` global rows. Must be called under the table lock (any
-  /// mode); the view stays readable for as long as the caller's epoch pin
-  /// keeps the captured partitions alive.
+  /// `visible_rows` global rows — the scan sources every aggregate
+  /// evaluates. Must be called under the table lock (any mode); the view
+  /// stays readable for as long as that lock is held or the caller's epoch
+  /// pin keeps the captured partitions alive.
   virtual std::unique_ptr<ColumnReadView> CaptureView(
       uint64_t visible_rows) const = 0;
 
@@ -111,39 +101,6 @@ class ColumnHandle final : public ColumnBase {
 
   uint64_t GetKey(uint64_t row) const override {
     return column_.Get(row).key();
-  }
-
-  uint64_t CountEqualsKey(uint64_t key) const override {
-    const Value v = Value::FromKey(key);
-    uint64_t n = query::CountEqualsMain(column_.main(), v) +
-                 query::CountEqualsDelta(column_.delta(), v);
-    if (column_.frozen() != nullptr) {
-      n += query::CountEqualsDelta(*column_.frozen(), v);
-    }
-    return n;
-  }
-
-  uint64_t CountRangeKeys(uint64_t lo, uint64_t hi) const override {
-    const Value vlo = Value::FromKey(lo);
-    const Value vhi = Value::FromKey(hi);
-    uint64_t n = query::CountRangeMain(column_.main(), vlo, vhi) +
-                 query::CountRangeDelta(column_.delta(), vlo, vhi);
-    if (column_.frozen() != nullptr) {
-      n += query::CountRangeDelta(*column_.frozen(), vlo, vhi);
-    }
-    return n;
-  }
-
-  uint64_t SumKeys() const override {
-    // Truncated to 64 bits anyway, so the mod-2^64 translate-and-sum kernel
-    // is exact here (query_test pins the equivalence with SumKeysMain).
-    uint64_t sum =
-        query::SumKeysMainMod64(column_.main(), 0, column_.main_size()) +
-        static_cast<uint64_t>(query::SumKeysDelta(column_.delta()));
-    if (column_.frozen() != nullptr) {
-      sum += static_cast<uint64_t>(query::SumKeysDelta(*column_.frozen()));
-    }
-    return sum;
   }
 
   std::unique_ptr<ColumnReadView> CaptureView(

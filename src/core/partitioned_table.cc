@@ -767,10 +767,7 @@ uint64_t PartitionedTable::GetKey(size_t col, uint64_t global_row) const {
     DM_CHECK_MSG(owner < segments_.size(), "global row id beyond table size");
     seg = segments_[owner];
   }
-  const uint64_t local = global_row - seg->base;
-  DM_CHECK_MSG(local < seg->table->num_rows(),
-               "global row id beyond table size");
-  return seg->table->GetKey(col, local);
+  return seg->table->GetKey(col, global_row - seg->base);
 }
 
 bool PartitionedTable::IsRowValid(uint64_t global_row) const {
@@ -947,10 +944,7 @@ bool PartitionedSnapshot::IsRowValid(uint64_t global_row) const {
 }
 
 uint64_t PartitionedSnapshot::CountEquals(size_t col, uint64_t key) const {
-  DM_DCHECK(valid());
-  uint64_t n = 0;
-  for (const SegmentView& v : segments_) n += v.snap.CountEquals(col, key);
-  return n;
+  return CountRange(col, key, key);
 }
 
 uint64_t PartitionedSnapshot::CountRange(size_t col, uint64_t lo,

@@ -7,6 +7,8 @@
 
 namespace deltamerge {
 
+using Part = ColumnReadView::Part;
+
 // ---------------------------------------------------------------------------
 // EpochManager
 // ---------------------------------------------------------------------------
@@ -159,13 +161,34 @@ void Snapshot::Release() {
   epochs->ReclaimExpired();
 }
 
-uint64_t Snapshot::GetKey(size_t col, uint64_t row) const {
+const ColumnReadView& Snapshot::View(size_t col) const {
   DM_DCHECK(valid());
+  DM_CHECK_MSG(col < cols_.size(), "column index out of range");
+  return *cols_[col];
+}
+
+template <typename Fn>
+uint64_t Snapshot::AddParts(const ColumnReadView& view, bool masked,
+                            Fn&& fn) const {
+  std::vector<uint64_t> mask;
+  uint64_t active = 0;
+  if (masked || view.active_prefix > 0) {
+    ReaderMutexLock lock(*mu_);
+    if (masked) mask = validity_->CopyWordsAtTs(visible_rows_, read_ts_);
+    if (view.active_prefix > 0) {
+      active = fn(Part::kActive, masked ? mask.data() : nullptr);
+    }
+  }
+  const uint64_t* valid = masked ? mask.data() : nullptr;
+  return fn(Part::kMain, valid) + fn(Part::kFrozen, valid) + active;
+}
+
+uint64_t Snapshot::GetKey(size_t col, uint64_t row) const {
+  const ColumnReadView& view = View(col);
   DM_CHECK_MSG(row < visible_rows_, "row beyond the snapshot horizon");
-  const ColumnReadView& view = *cols_[col];
-  if (row < view.pinned_rows()) return view.GetKeyPinned(row);
+  if (row < view.pinned_rows) return view.GetKey(row);
   ReaderMutexLock lock(*mu_);
-  return view.GetKeyActive(row);
+  return view.GetKey(row);
 }
 
 bool Snapshot::IsRowValid(uint64_t row) const {
@@ -176,62 +199,43 @@ bool Snapshot::IsRowValid(uint64_t row) const {
 }
 
 uint64_t Snapshot::CountEquals(size_t col, uint64_t key) const {
-  DM_DCHECK(valid());
-  const ColumnReadView& view = *cols_[col];
-  // With a gate, the main partition's share of the count enrolls in the
-  // cooperative sweep (possibly riding a batch with concurrent queries);
-  // the frozen share is a tree lookup either way.
-  uint64_t n;
-  if (gate_ != nullptr) {
-    n = gate_->Count(col, view.MainEqualSpec(key)) +
-        view.CountEqualsFrozen(key);
-  } else {
-    n = view.CountEqualsPinned(key);
-  }
-  if (view.active_prefix() > 0) {
-    ReaderMutexLock lock(*mu_);
-    n += view.CountEqualsActive(key);
-  }
-  return n;
+  return CountRange(col, key, key);
 }
 
 uint64_t Snapshot::CountRange(size_t col, uint64_t lo, uint64_t hi) const {
-  DM_DCHECK(valid());
-  const ColumnReadView& view = *cols_[col];
-  uint64_t n;
-  if (gate_ != nullptr) {
-    n = gate_->Count(col, view.MainRangeSpec(lo, hi)) +
-        view.CountRangeFrozen(lo, hi);
-  } else {
-    n = view.CountRangePinned(lo, hi);
-  }
-  if (view.active_prefix() > 0) {
-    ReaderMutexLock lock(*mu_);
-    n += view.CountRangeActive(lo, hi);
-  }
-  return n;
+  const ColumnReadView& view = View(col);
+  return AddParts(view, false, [&](Part part, const uint64_t* valid) {
+    // With a gate, the main partition's share enrolls in the cooperative
+    // sweep (possibly riding a batch with concurrent queries).
+    if (part == Part::kMain && gate_ != nullptr) {
+      return gate_->Count(col, view.MainSpec(lo, hi));
+    }
+    return view.Count(part, lo, hi, valid);
+  });
 }
 
 uint64_t Snapshot::SumColumn(size_t col) const {
-  DM_DCHECK(valid());
-  const ColumnReadView& view = *cols_[col];
-  uint64_t sum = view.SumPinned();
-  if (view.active_prefix() > 0) {
-    ReaderMutexLock lock(*mu_);
-    sum += view.SumActive();
-  }
-  return sum;
+  const ColumnReadView& view = View(col);
+  return AddParts(view, false, [&](Part part, const uint64_t* valid) {
+    return view.Sum(part, valid);
+  });
 }
 
 std::vector<uint64_t> Snapshot::CollectEquals(size_t col, uint64_t key,
                                               bool only_valid) const {
-  DM_DCHECK(valid());
-  const ColumnReadView& view = *cols_[col];
+  return CollectRange(col, key, key, only_valid);
+}
+
+std::vector<uint64_t> Snapshot::CollectRange(size_t col, uint64_t lo,
+                                             uint64_t hi,
+                                             bool only_valid) const {
+  const ColumnReadView& view = View(col);
   std::vector<uint64_t> rows;
-  view.CollectEqualsPinned(key, &rows);
-  if (view.active_prefix() > 0 || only_valid) {
+  view.Collect(Part::kMain, lo, hi, &rows);
+  view.Collect(Part::kFrozen, lo, hi, &rows);
+  if (view.active_prefix > 0 || only_valid) {
     ReaderMutexLock lock(*mu_);
-    if (view.active_prefix() > 0) view.CollectEqualsActive(key, &rows);
+    if (view.active_prefix > 0) view.Collect(Part::kActive, lo, hi, &rows);
     if (only_valid) {
       // Explicit compaction instead of std::erase_if: the analysis treats a
       // lambda as a separate function that does not hold *mu_, so the
@@ -248,82 +252,22 @@ std::vector<uint64_t> Snapshot::CollectEquals(size_t col, uint64_t key,
 }
 
 uint64_t Snapshot::CountEqualsValid(size_t col, uint64_t key) const {
-  DM_DCHECK(valid());
-  const ColumnReadView& view = *cols_[col];
-  // One brief lock hold copies the validity bits as of read_ts and collects
-  // the active-prefix matches; the pinned partitions (the bulk) then sweep
-  // lock-free through the masked kernels.
-  std::vector<uint64_t> mask;
-  std::vector<uint64_t> active_rows;
-  {
-    ReaderMutexLock lock(*mu_);
-    mask = validity_->CopyWordsAtTs(visible_rows_, read_ts_);
-    if (view.active_prefix() > 0) view.CollectEqualsActive(key, &active_rows);
-  }
-  uint64_t n = view.CountEqualsPinnedValid(key, mask.data());
-  for (const uint64_t r : active_rows) {
-    n += simd::ValidBit(mask.data(), r) ? 1 : 0;
-  }
-  return n;
+  return CountRangeValid(col, key, key);
 }
 
 uint64_t Snapshot::CountRangeValid(size_t col, uint64_t lo,
                                    uint64_t hi) const {
-  DM_DCHECK(valid());
-  const ColumnReadView& view = *cols_[col];
-  std::vector<uint64_t> mask;
-  std::vector<uint64_t> active_rows;
-  {
-    ReaderMutexLock lock(*mu_);
-    mask = validity_->CopyWordsAtTs(visible_rows_, read_ts_);
-    if (view.active_prefix() > 0) {
-      view.CollectRangeActive(lo, hi, &active_rows);
-    }
-  }
-  uint64_t n = view.CountRangePinnedValid(lo, hi, mask.data());
-  for (const uint64_t r : active_rows) {
-    n += simd::ValidBit(mask.data(), r) ? 1 : 0;
-  }
-  return n;
+  const ColumnReadView& view = View(col);
+  return AddParts(view, true, [&](Part part, const uint64_t* valid) {
+    return view.Count(part, lo, hi, valid);
+  });
 }
 
 uint64_t Snapshot::SumColumnValid(size_t col) const {
-  DM_DCHECK(valid());
-  const ColumnReadView& view = *cols_[col];
-  std::vector<uint64_t> mask;
-  uint64_t active_sum = 0;
-  {
-    ReaderMutexLock lock(*mu_);
-    mask = validity_->CopyWordsAtTs(visible_rows_, read_ts_);
-    // Active prefix is small by the merge discipline: point reads under the
-    // same lock hold that copied the mask.
-    for (uint64_t r = view.pinned_rows(); r < visible_rows_; ++r) {
-      if (simd::ValidBit(mask.data(), r)) active_sum += view.GetKeyActive(r);
-    }
-  }
-  return view.SumPinnedValid(mask.data()) + active_sum;
-}
-
-std::vector<uint64_t> Snapshot::CollectRange(size_t col, uint64_t lo,
-                                             uint64_t hi,
-                                             bool only_valid) const {
-  DM_DCHECK(valid());
-  const ColumnReadView& view = *cols_[col];
-  std::vector<uint64_t> rows;
-  view.CollectRangePinned(lo, hi, &rows);
-  if (view.active_prefix() > 0 || only_valid) {
-    ReaderMutexLock lock(*mu_);
-    if (view.active_prefix() > 0) view.CollectRangeActive(lo, hi, &rows);
-    if (only_valid) {
-      size_t kept = 0;
-      for (const uint64_t r : rows) {
-        if (IsRowValidLocked(r)) rows[kept++] = r;
-      }
-      rows.resize(kept);
-    }
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
+  const ColumnReadView& view = View(col);
+  return AddParts(view, true, [&](Part part, const uint64_t* valid) {
+    return view.Sum(part, valid);
+  });
 }
 
 }  // namespace deltamerge

@@ -37,10 +37,8 @@
 #include <vector>
 
 #include "query/aggregate.h"
-#include "query/lookup.h"
 #include "query/range_select.h"
 #include "query/shared_scan.h"
-#include "simd/simd_kernels.h"
 #include "storage/delta_partition.h"
 #include "storage/main_partition.h"
 #include "storage/validity.h"
@@ -148,73 +146,55 @@ class EpochManager final : public RetireSink {
   std::atomic<uint64_t> reclaimed_total_{0};
 };
 
-/// Type-erased consistent view of one column: the captured (main, frozen,
-/// active-prefix) triple with the global-row-id arithmetic baked in. Built
-/// by ColumnBase::CaptureView under the table lock.
+/// Type-erased consistent view of one column: the three scan sources a
+/// read evaluates one range predicate over — the main partition, the frozen
+/// delta and the visible prefix of the active delta — with the global-row-id
+/// arithmetic baked in. Built by ColumnBase::CaptureView under the table
+/// lock.
 ///
-/// The methods split by what protects them:
-///   * `...Pinned` covers main + frozen — immutable objects the epoch pin
-///     keeps alive, readable with NO lock held; this is the bulk of every
-///     scan, and it proceeds at full speed while a merge commits or a
-///     writer appends;
-///   * `...Active` covers the first `active_prefix()` tuples of the
-///     still-growing active delta — the caller must hold the table's
-///     shared lock for these (appends mutate the value array and CSB tree).
-/// Snapshot composes the two, skipping the lock when the prefix is empty.
+/// What protects a read depends on its part:
+///   * kMain and kFrozen are immutable objects the epoch pin keeps alive,
+///     readable with NO lock held; this is the bulk of every scan, and it
+///     proceeds at full speed while a merge commits or a writer appends;
+///   * kActive covers the first `active_prefix` tuples of the still-growing
+///     active delta — the caller must hold the table's shared lock (appends
+///     mutate the value array and CSB tree).
+///
+/// A `valid` argument is a word array of validity bits indexed by GLOBAL
+/// row id (bit r set = row r valid), covering every row of the part read;
+/// null reads every row.
 class ColumnReadView {
  public:
+  enum class Part { kMain, kFrozen, kActive };
+  static constexpr Part kParts[] = {Part::kMain, Part::kFrozen,
+                                    Part::kActive};
+
+  ColumnReadView(uint64_t pinned, uint64_t active)
+      : rows(pinned + active), pinned_rows(pinned), active_prefix(active) {}
   virtual ~ColumnReadView() = default;
+  DM_DISALLOW_COPY_AND_MOVE(ColumnReadView);
 
   /// Rows this view spans (== the snapshot's visible row count).
-  virtual uint64_t rows() const = 0;
+  const uint64_t rows;
   /// Rows living in the immutable pinned generation (main + frozen).
-  virtual uint64_t pinned_rows() const = 0;
-  /// Rows of the active delta visible to this view (rows() - pinned_rows()).
-  virtual uint64_t active_prefix() const = 0;
+  const uint64_t pinned_rows;
+  /// Rows of the active delta visible to this view (rows - pinned_rows).
+  const uint64_t active_prefix;
 
-  // --- pinned generation: no lock required ---
-  virtual uint64_t GetKeyPinned(uint64_t row) const = 0;
-  virtual uint64_t CountEqualsPinned(uint64_t key) const = 0;
-  virtual uint64_t CountRangePinned(uint64_t lo, uint64_t hi) const = 0;
-  virtual uint64_t SumPinned() const = 0;
-  virtual void CollectEqualsPinned(uint64_t key,
-                                   std::vector<uint64_t>* rows) const = 0;
-  virtual void CollectRangePinned(uint64_t lo, uint64_t hi,
-                                  std::vector<uint64_t>* rows) const = 0;
-
-  // --- scan-sharing decomposition of the pinned counts ---
-  // The main partition's share of a count, expressed as a PackedScanSpec
-  // (the value predicate translated to a dictionary-code range) so a
-  // ScanGate can batch it with concurrent queries; the frozen partition's
-  // share stays a direct (tree) lookup. Gate count + frozen count ==
-  // CountEqualsPinned / CountRangePinned.
-  virtual query::PackedScanSpec MainEqualSpec(uint64_t key) const = 0;
-  virtual query::PackedScanSpec MainRangeSpec(uint64_t lo,
-                                              uint64_t hi) const = 0;
-  virtual uint64_t CountEqualsFrozen(uint64_t key) const = 0;
-  virtual uint64_t CountRangeFrozen(uint64_t lo, uint64_t hi) const = 0;
-
-  // --- validity-masked pinned reads: no lock required ---
-  // `valid` is a word array of validity bits indexed by GLOBAL row id
-  // (bit r set = row r valid as of the snapshot), covering at least
-  // pinned_rows() bits — the snapshot copies it out of the versioned
-  // ValidityVector once, then these sweep lock-free with the masked
-  // kernels.
-  virtual uint64_t CountEqualsPinnedValid(uint64_t key,
-                                          const uint64_t* valid) const = 0;
-  virtual uint64_t CountRangePinnedValid(uint64_t lo, uint64_t hi,
-                                         const uint64_t* valid) const = 0;
-  virtual uint64_t SumPinnedValid(const uint64_t* valid) const = 0;
-
-  // --- active-delta prefix: caller holds the table's shared lock ---
-  virtual uint64_t GetKeyActive(uint64_t row) const = 0;
-  virtual uint64_t CountEqualsActive(uint64_t key) const = 0;
-  virtual uint64_t CountRangeActive(uint64_t lo, uint64_t hi) const = 0;
-  virtual uint64_t SumActive() const = 0;
-  virtual void CollectEqualsActive(uint64_t key,
-                                   std::vector<uint64_t>* rows) const = 0;
-  virtual void CollectRangeActive(uint64_t lo, uint64_t hi,
-                                  std::vector<uint64_t>* rows) const = 0;
+  /// The key at global `row` (< rows); rows past pinned_rows are kActive.
+  virtual uint64_t GetKey(uint64_t row) const = 0;
+  /// [lo, hi] over the main partition in code form — what a ScanGate
+  /// batches; query::CountMain(MainSpec(lo, hi), valid) is kMain's Count.
+  virtual query::PackedScanSpec MainSpec(uint64_t lo, uint64_t hi) const = 0;
+  /// Tuples of `part` whose key lies in [lo, hi] (equality is [k, k]).
+  virtual uint64_t Count(Part part, uint64_t lo, uint64_t hi,
+                         const uint64_t* valid) const = 0;
+  /// Appends the global row ids of `part`'s tuples whose key lies in
+  /// [lo, hi], in no particular order.
+  virtual void Collect(Part part, uint64_t lo, uint64_t hi,
+                       std::vector<uint64_t>* out) const = 0;
+  /// Sum (mod 2^64) of `part`'s keys.
+  virtual uint64_t Sum(Part part, const uint64_t* valid) const = 0;
 };
 
 /// The typed view implementation for value width W.
@@ -225,202 +205,72 @@ class ColumnSnapshotView final : public ColumnReadView {
 
   ColumnSnapshotView(const MainPartition<W>* main,
                      const DeltaPartition<W>* frozen,
-                     const DeltaPartition<W>* active, uint64_t active_prefix)
-      : main_(main),
+                     const DeltaPartition<W>* active, uint64_t prefix)
+      : ColumnReadView(
+            main->size() + (frozen != nullptr ? frozen->size() : 0), prefix),
+        main_(main),
         frozen_(frozen),
-        active_(active),
-        main_rows_(main->size()),
-        frozen_rows_(frozen != nullptr ? frozen->size() : 0),
-        active_prefix_(active_prefix) {}
+        active_(active) {}
 
-  uint64_t rows() const override {
-    return main_rows_ + frozen_rows_ + active_prefix_;
-  }
-  uint64_t pinned_rows() const override { return main_rows_ + frozen_rows_; }
-  uint64_t active_prefix() const override { return active_prefix_; }
-
-  uint64_t GetKeyPinned(uint64_t row) const override {
-    DM_DCHECK(row < pinned_rows());
-    if (row < main_rows_) return main_->GetValue(row).key();
-    return frozen_->Get(row - main_rows_).key();
+  uint64_t GetKey(uint64_t row) const override {
+    DM_DCHECK(row < rows);
+    if (row < main_->size()) return main_->GetValue(row).key();
+    if (row < pinned_rows) return frozen_->Get(row - main_->size()).key();
+    return active_->Get(row - pinned_rows).key();
   }
 
-  uint64_t CountEqualsPinned(uint64_t key) const override {
-    const Value v = Value::FromKey(key);
-    uint64_t n = query::CountEqualsMain(*main_, v);
-    if (frozen_ != nullptr) n += query::CountEqualsDelta(*frozen_, v);
-    return n;
+  query::PackedScanSpec MainSpec(uint64_t lo, uint64_t hi) const override {
+    return query::MainSpec(*main_, Value::FromKey(lo), Value::FromKey(hi));
   }
 
-  uint64_t CountRangePinned(uint64_t lo, uint64_t hi) const override {
-    const Value vlo = Value::FromKey(lo);
-    const Value vhi = Value::FromKey(hi);
-    uint64_t n = query::CountRangeMain(*main_, vlo, vhi);
-    if (frozen_ != nullptr) n += query::CountRangeDelta(*frozen_, vlo, vhi);
-    return n;
+  uint64_t Count(Part part, uint64_t lo, uint64_t hi,
+                 const uint64_t* valid) const override {
+    if (part == Part::kMain) return query::CountMain(MainSpec(lo, hi), valid);
+    const DeltaPrefix d = Delta(part);
+    if (d.delta == nullptr) return 0;
+    return query::CountDelta(*d.delta, Value::FromKey(lo), Value::FromKey(hi),
+                             d.prefix, d.base, valid);
   }
 
-  uint64_t SumPinned() const override {
-    unsigned __int128 sum = query::SumKeysMain(*main_);
-    if (frozen_ != nullptr) sum += query::SumKeysDelta(*frozen_);
-    return static_cast<uint64_t>(sum);
-  }
-
-  void CollectEqualsPinned(uint64_t key,
-                           std::vector<uint64_t>* rows) const override {
-    const Value v = Value::FromKey(key);
-    query::CollectEqualsMain(*main_, v, 0, rows);
-    if (frozen_ != nullptr) {
-      query::CollectEqualsDelta(*frozen_, v, main_rows_, rows);
+  void Collect(Part part, uint64_t lo, uint64_t hi,
+               std::vector<uint64_t>* out) const override {
+    if (part == Part::kMain) {
+      query::CollectMain(MainSpec(lo, hi), out);
+      return;
     }
+    const DeltaPrefix d = Delta(part);
+    if (d.delta == nullptr) return;
+    query::CollectDelta(*d.delta, Value::FromKey(lo), Value::FromKey(hi),
+                        d.prefix, d.base, out);
   }
 
-  void CollectRangePinned(uint64_t lo, uint64_t hi,
-                          std::vector<uint64_t>* rows) const override {
-    const Value vlo = Value::FromKey(lo);
-    const Value vhi = Value::FromKey(hi);
-    query::CollectRangeMain(*main_, vlo, vhi, 0, rows);
-    if (frozen_ != nullptr) {
-      query::CollectRangeDelta(*frozen_, vlo, vhi, main_rows_, rows);
-    }
-  }
-
-  query::PackedScanSpec MainEqualSpec(uint64_t key) const override {
-    query::PackedScanSpec spec;
-    spec.codes = &main_->codes();
-    spec.tuples = main_rows_;
-    const auto code = main_->dictionary().Find(Value::FromKey(key));
-    if (code.has_value()) {
-      spec.c_lo = *code;
-      spec.c_hi = *code;
-      spec.match = true;
-    }
-    return spec;
-  }
-
-  query::PackedScanSpec MainRangeSpec(uint64_t lo,
-                                      uint64_t hi) const override {
-    query::PackedScanSpec spec;
-    spec.codes = &main_->codes();
-    spec.tuples = main_rows_;
-    const auto& dict = main_->dictionary();
-    const uint32_t c_lo = dict.LowerBound(Value::FromKey(lo));
-    const uint32_t c_hi = dict.UpperBound(Value::FromKey(hi));
-    if (c_lo < c_hi) {
-      spec.c_lo = c_lo;
-      spec.c_hi = c_hi - 1;
-      spec.match = true;
-    }
-    return spec;
-  }
-
-  uint64_t CountEqualsFrozen(uint64_t key) const override {
-    if (frozen_ == nullptr) return 0;
-    return query::CountEqualsDelta(*frozen_, Value::FromKey(key));
-  }
-
-  uint64_t CountRangeFrozen(uint64_t lo, uint64_t hi) const override {
-    if (frozen_ == nullptr) return 0;
-    return query::CountRangeDelta(*frozen_, Value::FromKey(lo),
-                                  Value::FromKey(hi));
-  }
-
-  uint64_t CountEqualsPinnedValid(uint64_t key,
-                                  const uint64_t* valid) const override {
-    const Value v = Value::FromKey(key);
-    uint64_t n = 0;
-    const auto code = main_->dictionary().Find(v);
-    if (code.has_value()) {
-      n = simd::CountEqualPackedMasked(main_->codes(), 0, main_rows_, *code,
-                                       valid, 0);
-    }
-    if (frozen_ != nullptr) {
-      for (PostingsCursor c = frozen_->tree().Find(v); !c.Done();
-           c.Advance()) {
-        n += simd::ValidBit(valid, main_rows_ + c.TupleId()) ? 1 : 0;
-      }
-    }
-    return n;
-  }
-
-  uint64_t CountRangePinnedValid(uint64_t lo, uint64_t hi,
-                                 const uint64_t* valid) const override {
-    const Value vlo = Value::FromKey(lo);
-    const Value vhi = Value::FromKey(hi);
-    uint64_t n = 0;
-    const auto& dict = main_->dictionary();
-    const uint32_t c_lo = dict.LowerBound(vlo);
-    const uint32_t c_hi = dict.UpperBound(vhi);
-    if (c_lo < c_hi) {
-      n = simd::CountRangePackedMasked(main_->codes(), 0, main_rows_, c_lo,
-                                       c_hi - 1, valid, 0);
-    }
-    if (frozen_ != nullptr) {
-      std::vector<uint64_t> rows;
-      query::CollectRangeDelta(*frozen_, vlo, vhi, main_rows_, &rows);
-      for (const uint64_t r : rows) {
-        n += simd::ValidBit(valid, r) ? 1 : 0;
-      }
-    }
-    return n;
-  }
-
-  uint64_t SumPinnedValid(const uint64_t* valid) const override {
-    uint64_t sum = 0;
-    if (main_rows_ > 0) {
-      const std::vector<uint64_t> table = query::DictionaryKeyTable(*main_);
-      sum = simd::SumPackedTranslatedMasked(main_->codes(), 0, main_rows_,
-                                            table.data(), valid, 0);
-    }
-    if (frozen_ != nullptr) {
-      const auto values = frozen_->values();
-      for (uint64_t i = 0; i < values.size(); ++i) {
-        if (simd::ValidBit(valid, main_rows_ + i)) sum += values[i].key();
-      }
-    }
-    return sum;
-  }
-
-  uint64_t GetKeyActive(uint64_t row) const override {
-    DM_DCHECK(row >= pinned_rows() && row < rows());
-    return active_->Get(row - pinned_rows()).key();
-  }
-
-  uint64_t CountEqualsActive(uint64_t key) const override {
-    return query::CountEqualsDeltaPrefix(*active_, Value::FromKey(key),
-                                         active_prefix_);
-  }
-
-  uint64_t CountRangeActive(uint64_t lo, uint64_t hi) const override {
-    return query::CountRangeDeltaPrefix(*active_, Value::FromKey(lo),
-                                        Value::FromKey(hi), active_prefix_);
-  }
-
-  uint64_t SumActive() const override {
-    return static_cast<uint64_t>(
-        query::SumKeysDeltaPrefix(*active_, active_prefix_));
-  }
-
-  void CollectEqualsActive(uint64_t key,
-                           std::vector<uint64_t>* rows) const override {
-    query::CollectEqualsDeltaPrefix(*active_, Value::FromKey(key),
-                                    pinned_rows(), active_prefix_, rows);
-  }
-
-  void CollectRangeActive(uint64_t lo, uint64_t hi,
-                          std::vector<uint64_t>* rows) const override {
-    query::CollectRangeDeltaPrefix(*active_, Value::FromKey(lo),
-                                   Value::FromKey(hi), pinned_rows(),
-                                   active_prefix_, rows);
+  uint64_t Sum(Part part, const uint64_t* valid) const override {
+    if (part == Part::kMain) return query::SumMain(*main_, valid);
+    const DeltaPrefix d = Delta(part);
+    if (d.delta == nullptr) return 0;
+    return query::SumDelta(*d.delta, d.prefix, d.base, valid);
   }
 
  private:
+  /// A delta part: its partition (the frozen one is null when no merge is
+  /// in flight), the tuples visible to this view, and the global row id of
+  /// its tuple 0.
+  struct DeltaPrefix {
+    const DeltaPartition<W>* delta;
+    uint64_t prefix;
+    uint64_t base;
+  };
+
+  DeltaPrefix Delta(Part part) const {
+    if (part == Part::kFrozen) {
+      return {frozen_, pinned_rows - main_->size(), main_->size()};
+    }
+    return {active_, active_prefix, pinned_rows};
+  }
+
   const MainPartition<W>* main_;
   const DeltaPartition<W>* frozen_;
   const DeltaPartition<W>* active_;
-  uint64_t main_rows_;
-  uint64_t frozen_rows_;
-  uint64_t active_prefix_;
 };
 
 /// A pinned, consistent read view of a whole table: every column at the
@@ -493,6 +343,16 @@ class Snapshot {
   bool IsRowValidLocked(uint64_t row) const DM_REQUIRES_SHARED(*mu_) {
     return row < visible_rows_ && validity_->IsValidAtTs(row, read_ts_);
   }
+
+  /// cols_[col], DM_CHECKed: column ids come from callers.
+  const ColumnReadView& View(size_t col) const;
+
+  /// fn(part, valid) added up over `view`'s three parts. The active prefix
+  /// is read under the shared lock, and skipped with no lock when empty.
+  /// `masked` copies the validity bits as of read_ts once, in the same lock
+  /// hold, and hands them to every part.
+  template <typename Fn>
+  uint64_t AddParts(const ColumnReadView& view, bool masked, Fn&& fn) const;
 
   EpochManager* epochs_ = nullptr;
   uint32_t slot_ = 0;

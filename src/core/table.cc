@@ -425,24 +425,44 @@ bool Table::IsRowValid(uint64_t row) const {
   return row < validity_.size() && validity_.IsValid(row);
 }
 
+const ColumnBase& Table::CheckedColumn(size_t col) const {
+  DM_CHECK_MSG(col < columns_.size(), "column index out of range");
+  return *columns_[col];
+}
+
 uint64_t Table::GetKey(size_t col, uint64_t row) const {
+  const ColumnBase& c = CheckedColumn(col);
   ReaderMutexLock lock(mu_);
-  return columns_[col]->GetKey(row);
+  DM_CHECK_MSG(row < validity_.size(), "row id beyond table size");
+  return c.GetKey(row);
 }
 
 uint64_t Table::CountEquals(size_t col, uint64_t key) const {
-  ReaderMutexLock lock(mu_);
-  return columns_[col]->CountEqualsKey(key);
+  return CountRange(col, key, key);
 }
 
+// The non-snapshot aggregates add up the parts of one view of the column
+// under a single shared-lock hold: no epoch pin, no views of other columns.
 uint64_t Table::CountRange(size_t col, uint64_t lo, uint64_t hi) const {
+  const ColumnBase& c = CheckedColumn(col);
   ReaderMutexLock lock(mu_);
-  return columns_[col]->CountRangeKeys(lo, hi);
+  const std::unique_ptr<ColumnReadView> view = c.CaptureView(c.size());
+  uint64_t n = 0;
+  for (const auto part : ColumnReadView::kParts) {
+    n += view->Count(part, lo, hi, nullptr);
+  }
+  return n;
 }
 
 uint64_t Table::SumColumn(size_t col) const {
+  const ColumnBase& c = CheckedColumn(col);
   ReaderMutexLock lock(mu_);
-  return columns_[col]->SumKeys();
+  const std::unique_ptr<ColumnReadView> view = c.CaptureView(c.size());
+  uint64_t sum = 0;
+  for (const auto part : ColumnReadView::kParts) {
+    sum += view->Sum(part, nullptr);
+  }
+  return sum;
 }
 
 uint64_t Table::delta_rows() const {

@@ -373,6 +373,9 @@ class Table {
                          const PreparedBatch* prepared, uint64_t* out_lsn)
       DM_REQUIRES(mu_);
 
+  /// columns_[col], DM_CHECKed: column ids come from callers.
+  const ColumnBase& CheckedColumn(size_t col) const;
+
   /// Builds the checkpoint capture for the merge that just committed
   /// (caller holds the exclusive lock and has already pinned an epoch).
   CheckpointCapture BuildCheckpointCaptureLocked(uint64_t replay_lsn) const

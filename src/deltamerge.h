@@ -33,9 +33,7 @@
 #include "persist/manifest.h"      // IWYU pragma: export
 #include "persist/wal.h"           // IWYU pragma: export
 #include "query/aggregate.h"       // IWYU pragma: export
-#include "query/lookup.h"          // IWYU pragma: export
 #include "query/range_select.h"    // IWYU pragma: export
-#include "query/scan.h"            // IWYU pragma: export
 #include "storage/column.h"        // IWYU pragma: export
 #include "storage/unsorted_delta.h"// IWYU pragma: export
 #include "workload/enterprise_stats.h"  // IWYU pragma: export

@@ -1,12 +1,14 @@
 // Copyright (c) 2026 The DeltaMerge Authors.
-// Simple aggregations over a column, treating the value's integer key as the
-// measure. Used by the analytic legs of the example workloads ("complex read
-// operations on large sets of data with a projectivity on a few columns
-// only", §2).
+// Sums over a column's scan sources, treating the value's integer key as
+// the measure. Used by the analytic legs of the example workloads
+// ("complex read operations on large sets of data with a projectivity on a
+// few columns only", §2). Sums are modulo 2^64, the width every public sum
+// returns.
 
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "simd/simd_kernels.h"
 #include "storage/delta_partition.h"
@@ -26,87 +28,34 @@ std::vector<uint64_t> DictionaryKeyTable(const MainPartition<W>& main) {
   return table;
 }
 
-/// Sum of value keys over the main partition, exact to 128 bits. Exploits
-/// compression: sums per dictionary code are weighted by occurrence counts
-/// (the histogram sweep is the vectorized HistogramPacked kernel), touching
-/// the (small) dictionary once per distinct value instead of materializing
-/// every tuple.
+/// Sum of value keys over the main partition — the translate-and-sum kernel
+/// (vpgatherqq) over a code→key table; with `valid` non-null, over the
+/// tuples whose bit i is set in that validity word array.
 template <size_t W>
-unsigned __int128 SumKeysMain(const MainPartition<W>& main) {
+uint64_t SumMain(const MainPartition<W>& main, const uint64_t* valid) {
   if (main.empty()) return 0;
-  std::vector<uint64_t> histogram(main.unique_values(), 0);
-  simd::HistogramPacked(main.codes(), 0, main.size(), histogram.data());
-  unsigned __int128 sum = 0;
-  const auto& dict = main.dictionary();
-  for (uint32_t c = 0; c < histogram.size(); ++c) {
-    sum += static_cast<unsigned __int128>(dict.At(c).key()) * histogram[c];
-  }
-  return sum;
-}
-
-/// Sum of value keys over main tuples [begin, end), modulo 2^64 — the
-/// translate-and-sum kernel (vpgatherqq) over a code→key table. Equal to
-/// SumKeysMain truncated to 64 bits when [begin, end) spans the partition;
-/// every uint64-returning sum consumer (ColumnHandle::SumKeys, the snapshot
-/// views, Table/PartitionedTable::SumColumn) rides this path.
-template <size_t W>
-uint64_t SumKeysMainMod64(const MainPartition<W>& main, uint64_t begin,
-                          uint64_t end) {
-  if (begin >= end) return 0;
   const std::vector<uint64_t> table = DictionaryKeyTable(main);
-  return simd::SumPackedTranslated(main.codes(), begin, end, table.data());
+  return valid == nullptr
+             ? simd::SumPackedTranslated(main.codes(), 0, main.size(),
+                                         table.data())
+             : simd::SumPackedTranslatedMasked(main.codes(), 0, main.size(),
+                                               table.data(), valid, 0);
 }
 
-/// Sum of value keys over the delta partition (direct reads).
+/// Sum of value keys over the first `prefix` delta tuples (direct reads);
+/// with `valid` non-null, over those whose bit (base + tuple id) is set.
 template <size_t W>
-unsigned __int128 SumKeysDelta(const DeltaPartition<W>& delta) {
-  unsigned __int128 sum = 0;
-  for (const auto& v : delta.values()) {
-    sum += v.key();
-  }
-  return sum;
-}
-
-/// Sum of value keys over the first `prefix` delta tuples (snapshot-read
-/// variant: tuples appended after the snapshot's fill level are excluded).
-template <size_t W>
-unsigned __int128 SumKeysDeltaPrefix(const DeltaPartition<W>& delta,
-                                     uint64_t prefix) {
+uint64_t SumDelta(const DeltaPartition<W>& delta, uint64_t prefix,
+                  uint64_t base, const uint64_t* valid) {
   const auto values = delta.values();
   const uint64_t n = prefix < values.size() ? prefix : values.size();
-  unsigned __int128 sum = 0;
+  uint64_t sum = 0;
   for (uint64_t i = 0; i < n; ++i) {
-    sum += values[i].key();
+    if (valid == nullptr || simd::ValidBit(valid, base + i)) {
+      sum += values[i].key();
+    }
   }
   return sum;
-}
-
-/// Minimum / maximum over both partitions; returns false if the column holds
-/// no tuples.
-template <size_t W>
-bool MinMax(const MainPartition<W>& main, const DeltaPartition<W>& delta,
-            FixedValue<W>* min_out, FixedValue<W>* max_out) {
-  bool any = false;
-  FixedValue<W> mn = FixedValue<W>::Max();
-  FixedValue<W> mx = FixedValue<W>::Min();
-  if (!main.empty()) {
-    // Dictionary is sorted: first and last entries bound the partition.
-    mn = main.dictionary().At(0);
-    mx = main.dictionary().At(static_cast<uint32_t>(main.unique_values() - 1));
-    any = true;
-  }
-  if (!delta.empty()) {
-    delta.tree().ForEachSorted([&](const FixedValue<W>& v, PostingsCursor) {
-      if (!any || v < mn) mn = v;
-      if (!any || mx < v) mx = v;
-      any = true;
-    });
-  }
-  if (any) {
-    *min_out = mn;
-    *max_out = mx;
-  }
-  return any;
 }
 
 }  // namespace deltamerge::query

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "query/column_stats.h"
-#include "query/lookup.h"
 #include "query/range_select.h"
 #include "simd/simd_kernels.h"
 #include "storage/column.h"
@@ -59,13 +58,14 @@ std::vector<uint64_t> MatchingRows(const Column<W>& col,
   const auto lo = FixedValue<W>::FromKey(p.lo_key);
   const auto hi = FixedValue<W>::FromKey(p.hi_key);
   std::vector<uint64_t> rows;
-  CollectRangeMain(col.main(), lo, hi, 0, &rows);
+  CollectMain(MainSpec(col.main(), lo, hi), &rows);
   const uint64_t frozen_base = col.main_size();
   if (col.frozen() != nullptr) {
-    CollectRangeDelta(*col.frozen(), lo, hi, frozen_base, &rows);
+    CollectDelta(*col.frozen(), lo, hi, col.frozen_size(), frozen_base,
+                 &rows);
   }
-  CollectRangeDelta(col.delta(), lo, hi, frozen_base + col.frozen_size(),
-                    &rows);
+  CollectDelta(col.delta(), lo, hi, col.delta_size(),
+               frozen_base + col.frozen_size(), &rows);
   std::sort(rows.begin(), rows.end());
   return rows;
 }
@@ -112,15 +112,15 @@ uint64_t ConjunctiveCount(const std::vector<const Column<W>*>& columns,
   for (const auto& p : predicates) {
     const Column<W>& col = *columns[p.column];
     DM_CHECK(col.main_size() == main_rows && col.size() == total_rows);
-    const auto& dict = col.main().dictionary();
-    const uint32_t c_lo = dict.LowerBound(FixedValue<W>::FromKey(p.lo_key));
-    const uint32_t c_hi = dict.UpperBound(FixedValue<W>::FromKey(p.hi_key));
-    if (c_lo >= c_hi) {
+    const PackedScanSpec spec =
+        MainSpec(col.main(), FixedValue<W>::FromKey(p.lo_key),
+                 FixedValue<W>::FromKey(p.hi_key));
+    if (!spec.match) {
       main_can_match = false;
       break;
     }
     fused.push_back(
-        simd::ConjunctPredicate{&col.main().codes(), c_lo, c_hi - 1});
+        simd::ConjunctPredicate{spec.codes, spec.c_lo, spec.c_hi});
   }
 
   uint64_t count = 0;

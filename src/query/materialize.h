@@ -41,7 +41,7 @@ inline std::vector<std::vector<uint64_t>> MaterializeValidRows(
 }
 
 /// Index-to-value join: materializes the projection for an explicit row-id
-/// list (e.g. the output of CollectEqualsMain / CollectRangeDelta).
+/// list (e.g. the output of Snapshot::CollectRange).
 inline std::vector<std::vector<uint64_t>> MaterializeRows(
     const Table& table, const std::vector<uint64_t>& rows,
     const std::vector<size_t>& columns) {

@@ -50,8 +50,7 @@ uint64_t ScanGate::Count(size_t col, const PackedScanSpec& spec) {
         // without orphaning its enrollees. Solo scan instead.
         ++stats_.bypasses;
         mu_.unlock();
-        return simd::CountRangePacked(*spec.codes, 0, spec.tuples, spec.c_lo,
-                                      spec.c_hi);
+        return CountMain(spec, nullptr);
       }
       st.gen = spec.codes;
       st.tuples = spec.tuples;
@@ -96,13 +95,20 @@ uint64_t ScanGate::Count(size_t col, const PackedScanSpec& spec) {
     }
     mu_.unlock();
 
-    std::vector<simd::CodeRange> preds(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      preds[i] = simd::CodeRange{batch[i]->lo, batch[i]->hi};
-    }
     std::vector<uint64_t> counts(batch.size(), 0);
-    simd::MultiCountRangePacked(*sweep_codes, 0, sweep_tuples, preds,
-                                counts.data());
+    if (batch.size() == 1) {
+      // A solo sweep runs the same kernel selection as an ungated count.
+      counts[0] = CountMain(PackedScanSpec{sweep_codes, sweep_tuples,
+                                           batch[0]->lo, batch[0]->hi, true},
+                            nullptr);
+    } else {
+      std::vector<simd::CodeRange> preds(batch.size());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        preds[i] = simd::CodeRange{batch[i]->lo, batch[i]->hi};
+      }
+      simd::MultiCountRangePacked(*sweep_codes, 0, sweep_tuples, preds,
+                                  counts.data());
+    }
 
     mu_.lock();
     for (size_t i = 0; i < batch.size(); ++i) {

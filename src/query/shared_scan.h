@@ -47,27 +47,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "query/range_select.h"
 #include "util/thread_annotations.h"
 
-namespace deltamerge {
-class PackedVector;
-}  // namespace deltamerge
-
 namespace deltamerge::query {
-
-/// The shareable shape of one main-partition scan, produced by the snapshot
-/// layer (ColumnReadView::Main*Spec): which packed vector to sweep, how many
-/// leading tuples of it are visible, and the dictionary-code range that the
-/// query's value predicate translated to. `match == false` means the value
-/// range missed the dictionary entirely — the main count is 0 and nothing
-/// enrolls.
-struct PackedScanSpec {
-  const PackedVector* codes = nullptr;
-  uint64_t tuples = 0;  ///< sweep [0, tuples) of `codes`
-  uint32_t c_lo = 0;
-  uint32_t c_hi = 0;  ///< inclusive
-  bool match = false;
-};
 
 /// Per-table scan gate. Thread-safe; all methods callable concurrently.
 class ScanGate {
@@ -85,9 +68,10 @@ class ScanGate {
 
   /// COUNT of tuples in [0, spec.tuples) of *spec.codes whose code lies in
   /// [spec.c_lo, spec.c_hi] — answered by a shared sweep when compatible
-  /// concurrent queries exist, a solo kernel scan otherwise. Blocks until
-  /// the answer is available (one sweep's latency at most). The caller must
-  /// keep *spec.codes alive across the call (snapshot epoch pin).
+  /// concurrent queries exist, by CountMain (range_select.h) when the query
+  /// sweeps alone. Blocks until the answer is available (one sweep's
+  /// latency at most). The caller must keep *spec.codes alive across the
+  /// call (snapshot epoch pin).
   uint64_t Count(size_t col, const PackedScanSpec& spec);
 
   Stats stats() const;

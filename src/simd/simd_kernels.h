@@ -941,13 +941,6 @@ inline void MultiCountRangePacked(const PackedVector& v, uint64_t begin,
                                   std::span<const CodeRange> preds,
                                   uint64_t* out_counts) {
   if (preds.empty()) return;
-  if (preds.size() == 1) {
-    // A one-predicate "batch" is a plain range count; the dedicated kernel
-    // keeps its accumulator in a register (and has the byte-aligned fast
-    // paths) instead of storing a count per block.
-    out_counts[0] += CountRangePacked(v, begin, end, preds[0].lo, preds[0].hi);
-    return;
-  }
 #ifdef DM_HAVE_AVX2
   const uint32_t bits = v.bits();
   if (bits > 30) {
@@ -978,6 +971,8 @@ inline void MultiCountRangePacked(const PackedVector& v, uint64_t begin,
   }
   if (nlive == 0 && !batch_overflow) return;
   if (nlive == 1 && !batch_overflow) {
+    // One live predicate: the dedicated kernel keeps its accumulator in a
+    // register and has the byte-aligned fast paths.
     out_counts[live_idx[0]] +=
         CountRangePacked(v, begin, end, live[0].lo, live[0].hi);
     return;

@@ -36,16 +36,30 @@ TEST(ColumnHandle, InsertAndGetAcrossWidths) {
   }
 }
 
+/// Count of [lo, hi] over every part of a view of the whole column.
+uint64_t CountAll(const ColumnBase& col, uint64_t lo, uint64_t hi) {
+  const auto view = col.CaptureView(col.size());
+  uint64_t n = 0;
+  for (const auto part : ColumnReadView::kParts) {
+    n += view->Count(part, lo, hi, nullptr);
+  }
+  return n;
+}
+
 TEST(ColumnHandle, QueriesAggregateAllPartitions) {
   auto col = MakeColumn(8);
   for (uint64_t k : {5u, 5u, 7u, 9u}) col->InsertKey(k);
   col->FreezeDelta();           // 4 tuples now frozen
   col->InsertKey(5);            // 1 tuple in the new active delta
-  EXPECT_EQ(col->CountEqualsKey(5), 3u);
-  EXPECT_EQ(col->CountRangeKeys(5, 7), 4u);
-  EXPECT_EQ(col->SumKeys(), 31u);
+  EXPECT_EQ(CountAll(*col, 5, 5), 3u);
+  EXPECT_EQ(CountAll(*col, 5, 7), 4u);
+  {
+    const auto view = col->CaptureView(col->size());
+    EXPECT_EQ(view->Sum(ColumnReadView::Part::kFrozen, nullptr), 26u);
+    EXPECT_EQ(view->Sum(ColumnReadView::Part::kActive, nullptr), 5u);
+  }
   col->AbortMerge();
-  EXPECT_EQ(col->CountEqualsKey(5), 3u);
+  EXPECT_EQ(CountAll(*col, 5, 5), 3u);
 }
 
 TEST(ColumnHandle, MergeProtocolThroughInterface) {
@@ -63,7 +77,7 @@ TEST(ColumnHandle, MergeProtocolThroughInterface) {
   EXPECT_EQ(col->main_unique(), 10u);
   EXPECT_EQ(col->delta_size(), 0u);
   // Post-merge reads unchanged.
-  EXPECT_EQ(col->CountEqualsKey(3), 10u);
+  EXPECT_EQ(CountAll(*col, 3, 3), 10u);
 }
 
 TEST(ColumnHandle, RepeatedFreezeWithoutCommitIsFatalContractButAbortable) {

@@ -1,6 +1,7 @@
 // Copyright (c) 2026 The DeltaMerge Authors.
-// Tests for the query paths: lookups, range selects, scans and aggregates
-// against brute-force references, over main, delta, and both.
+// Tests for the query evaluators: lookups (the range form with lo == hi),
+// range selects and sums against brute-force references, over main, delta,
+// and both.
 
 #include <gtest/gtest.h>
 
@@ -9,9 +10,7 @@
 
 #include "core/merge_algorithms.h"
 #include "query/aggregate.h"
-#include "query/lookup.h"
 #include "query/range_select.h"
-#include "query/scan.h"
 #include "storage/column.h"
 #include "util/random.h"
 #include "workload/value_generator.h"
@@ -51,6 +50,28 @@ struct Fixture {
     for (uint64_t k : all_keys) n += (k >= lo && k <= hi);
     return n;
   }
+
+  /// Main's evaluator, then the whole delta's, on [lo, hi].
+  uint64_t Count(uint64_t lo, uint64_t hi) const {
+    const Value8 vlo = Value8::FromKey(lo), vhi = Value8::FromKey(hi);
+    return query::CountMain(query::MainSpec(main, vlo, vhi), nullptr) +
+           query::CountDelta(delta, vlo, vhi, delta.size(), main.size(),
+                             nullptr);
+  }
+
+  /// Row positions (main, then delta offset by main's size) in [lo, hi].
+  std::vector<uint64_t> Collect(uint64_t lo, uint64_t hi) const {
+    const Value8 vlo = Value8::FromKey(lo), vhi = Value8::FromKey(hi);
+    std::vector<uint64_t> rows;
+    query::CollectMain(query::MainSpec(main, vlo, vhi), &rows);
+    query::CollectDelta(delta, vlo, vhi, delta.size(), main.size(), &rows);
+    return rows;
+  }
+
+  uint64_t Sum() const {
+    return query::SumMain(main, nullptr) +
+           query::SumDelta(delta, delta.size(), main.size(), nullptr);
+  }
 };
 
 TEST(Lookup, CountEqualsMatchesBruteForce) {
@@ -58,19 +79,14 @@ TEST(Lookup, CountEqualsMatchesBruteForce) {
   Rng rng(1);
   for (int probe = 0; probe < 200; ++probe) {
     const uint64_t key = rng.Below(500);  // includes absent keys
-    const uint64_t got = query::CountEqualsMain(f.main, Value8::FromKey(key)) +
-                         query::CountEqualsDelta(f.delta, Value8::FromKey(key));
-    EXPECT_EQ(got, f.BruteCountEquals(key)) << "key " << key;
+    EXPECT_EQ(f.Count(key, key), f.BruteCountEquals(key)) << "key " << key;
   }
 }
 
 TEST(Lookup, CollectReturnsPositions) {
   Fixture f(102, 1000, 200, 50);
   const uint64_t key = 7;
-  std::vector<uint64_t> rows;
-  query::CollectEqualsMain(f.main, Value8::FromKey(key), 0, &rows);
-  query::CollectEqualsDelta(f.delta, Value8::FromKey(key), f.main.size(),
-                            &rows);
+  const std::vector<uint64_t> rows = f.Collect(key, key);
   ASSERT_EQ(rows.size(), f.BruteCountEquals(key));
   for (uint64_t r : rows) {
     EXPECT_EQ(f.all_keys[r], key);
@@ -79,8 +95,8 @@ TEST(Lookup, CollectReturnsPositions) {
 
 TEST(Lookup, AbsentKeyFindsNothing) {
   Fixture f(103);
-  EXPECT_EQ(query::CountEqualsMain(f.main, Value8::FromKey(1u << 30)), 0u);
-  EXPECT_EQ(query::CountEqualsDelta(f.delta, Value8::FromKey(1u << 30)), 0u);
+  EXPECT_EQ(f.Count(1u << 30, 1u << 30), 0u);
+  EXPECT_TRUE(f.Collect(1u << 30, 1u << 30).empty());
 }
 
 TEST(RangeSelect, CountMatchesBruteForce) {
@@ -89,29 +105,20 @@ TEST(RangeSelect, CountMatchesBruteForce) {
   for (int probe = 0; probe < 200; ++probe) {
     const uint64_t lo = rng.Below(450);
     const uint64_t hi = lo + rng.Below(60);
-    const Value8 vlo = Value8::FromKey(lo), vhi = Value8::FromKey(hi);
-    const uint64_t got = query::CountRangeMain(f.main, vlo, vhi) +
-                         query::CountRangeDelta(f.delta, vlo, vhi);
-    EXPECT_EQ(got, f.BruteCountRange(lo, hi)) << lo << ".." << hi;
+    EXPECT_EQ(f.Count(lo, hi), f.BruteCountRange(lo, hi)) << lo << ".." << hi;
   }
 }
 
 TEST(RangeSelect, EmptyAndInvertedRanges) {
   Fixture f(105);
-  EXPECT_EQ(query::CountRangeMain(f.main, Value8::FromKey(10),
-                                  Value8::FromKey(9)),
-            0u);
-  EXPECT_EQ(query::CountRangeMain(f.main, Value8::FromKey(1u << 20),
-                                  Value8::FromKey(1u << 21)),
-            0u);
+  EXPECT_EQ(f.Count(10, 9), 0u);
+  EXPECT_EQ(f.Count(1u << 20, 1u << 21), 0u);
+  EXPECT_TRUE(f.Collect(10, 9).empty());
 }
 
 TEST(RangeSelect, CollectMatchesCount) {
   Fixture f(106, 2000, 300, 100);
-  const Value8 lo = Value8::FromKey(10), hi = Value8::FromKey(20);
-  std::vector<uint64_t> rows;
-  query::CollectRangeMain(f.main, lo, hi, 0, &rows);
-  query::CollectRangeDelta(f.delta, lo, hi, f.main.size(), &rows);
+  const std::vector<uint64_t> rows = f.Collect(10, 20);
   EXPECT_EQ(rows.size(), f.BruteCountRange(10, 20));
   for (uint64_t r : rows) {
     EXPECT_GE(f.all_keys[r], 10u);
@@ -119,61 +126,18 @@ TEST(RangeSelect, CollectMatchesCount) {
   }
 }
 
-TEST(Scan, VisitsEveryTupleInOrder) {
-  Fixture f(107, 500, 100, 40);
-  uint64_t i = 0;
-  query::ScanMain(f.main, [&](uint64_t idx, const Value8& v) {
-    EXPECT_EQ(idx, i);
-    EXPECT_EQ(v.key(), f.all_keys[i]);
-    ++i;
-  });
-  EXPECT_EQ(i, 500u);
-  query::ScanDelta(f.delta, [&](uint64_t idx, const Value8& v) {
-    EXPECT_EQ(v.key(), f.all_keys[500 + idx]);
-    ++i;
-  });
-  EXPECT_EQ(i, 600u);
-}
-
-TEST(Scan, CountIfMatchesPredicate) {
-  Fixture f(108);
-  const auto pred = [](const Value8& v) { return v.key() % 3 == 0; };
-  uint64_t expected = 0;
-  for (uint64_t k : f.all_keys) expected += (k % 3 == 0);
-  EXPECT_EQ(query::CountIfMain(f.main, pred) +
-                query::CountIfDelta(f.delta, pred),
-            expected);
-}
-
 TEST(Aggregate, SumMatchesBruteForce) {
   Fixture f(109);
-  unsigned __int128 expected = 0;
+  uint64_t expected = 0;
   for (uint64_t k : f.all_keys) expected += k;
-  EXPECT_EQ(query::SumKeysMain(f.main) + query::SumKeysDelta(f.delta),
-            expected);
+  EXPECT_EQ(f.Sum(), expected);
 }
 
 TEST(Aggregate, SumEmptyPartitionsIsZero) {
   MainPartition<8> main;
   DeltaPartition<8> delta;
-  EXPECT_EQ(query::SumKeysMain(main), static_cast<unsigned __int128>(0));
-  EXPECT_EQ(query::SumKeysDelta(delta), static_cast<unsigned __int128>(0));
-}
-
-TEST(Aggregate, MinMaxSpansPartitions) {
-  MainPartition<8> main = MainPartition<8>::FromValues(
-      {Value8::FromKey(50), Value8::FromKey(100)});
-  DeltaPartition<8> delta;
-  delta.Insert(Value8::FromKey(10));
-  delta.Insert(Value8::FromKey(70));
-  Value8 mn, mx;
-  ASSERT_TRUE(query::MinMax(main, delta, &mn, &mx));
-  EXPECT_EQ(mn.key(), 10u);
-  EXPECT_EQ(mx.key(), 100u);
-
-  MainPartition<8> empty_main;
-  DeltaPartition<8> empty_delta;
-  EXPECT_FALSE(query::MinMax(empty_main, empty_delta, &mn, &mx));
+  EXPECT_EQ(query::SumMain(main, nullptr), 0u);
+  EXPECT_EQ(query::SumDelta(delta, 0, 0, nullptr), 0u);
 }
 
 TEST(Query, AnswersStableAcrossMerge) {
@@ -181,11 +145,8 @@ TEST(Query, AnswersStableAcrossMerge) {
   // before and after folding the delta into the main partition.
   Fixture f(110, 3000, 500, 120);
   const uint64_t probe_eq = 17;
-  const uint64_t before_eq =
-      query::CountEqualsMain(f.main, Value8::FromKey(probe_eq)) +
-      query::CountEqualsDelta(f.delta, Value8::FromKey(probe_eq));
-  const unsigned __int128 before_sum =
-      query::SumKeysMain(f.main) + query::SumKeysDelta(f.delta);
+  const uint64_t before_eq = f.Count(probe_eq, probe_eq);
+  const uint64_t before_sum = f.Sum();
 
   // Merge (serial linear).
   Column<8> col{std::move(f.main)};
@@ -196,9 +157,10 @@ TEST(Query, AnswersStableAcrossMerge) {
                                          MergeOptions{}, nullptr, &stats);
   col.CommitMerge(std::move(merged));
 
-  EXPECT_EQ(query::CountEqualsMain(col.main(), Value8::FromKey(probe_eq)),
+  const Value8 v = Value8::FromKey(probe_eq);
+  EXPECT_EQ(query::CountMain(query::MainSpec(col.main(), v, v), nullptr),
             before_eq);
-  EXPECT_EQ(query::SumKeysMain(col.main()), before_sum);
+  EXPECT_EQ(query::SumMain(col.main(), nullptr), before_sum);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "simd/simd_kernels.h"
@@ -204,6 +205,13 @@ TEST_P(SimdKernelSweepTest, EveryKernelBitExactAcrossLengths) {
         simd::MultiCountRangePackedScalar(v, begin, end, multi, mc_want);
         for (int j = 0; j < 4; ++j) ASSERT_EQ(mc_got[j], mc_want[j]) << j;
         ASSERT_EQ(mc_got[2], 0u);
+        // A batch that compacts to one live predicate.
+        uint64_t one_got[2] = {0, 0};
+        simd::MultiCountRangePacked(
+            v, begin, end, std::span<const simd::CodeRange>(multi + 1, 2),
+            one_got);
+        ASSERT_EQ(one_got[0], mc_want[1]);
+        ASSERT_EQ(one_got[1], 0u);
       }
     }
   }

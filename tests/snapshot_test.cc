@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -400,43 +402,115 @@ void PrintTo(const DiffParam& p, std::ostream* os) {
       << " mp=" << p.merge_probability << " sp=" << p.snapshot_probability;
 }
 
+/// A pinned snapshot, the model copy taken at its capture instant, and the
+/// main partition's row count then (every column merges together, so one
+/// count covers all three). Rows past `main_rows` lived in a delta.
+struct PinnedSnapshot {
+  Snapshot snap;
+  ReferenceModel model;
+  uint64_t main_rows = 0;
+};
+
 class SnapshotDifferentialTest : public ::testing::TestWithParam<DiffParam> {
  protected:
-  /// Every read the snapshot offers, checked against the model copy taken
-  /// at its capture instant.
-  void VerifySnapshot(const Snapshot& snap, const ReferenceModel& model,
-                      Rng& rng, uint64_t domain) {
+  static constexpr size_t kColumns = 3;
+
+  /// A key of column `col` present in the delta rows of `p` and absent from
+  /// its main partition, or nullopt when every delta key also sits in main.
+  static std::optional<uint64_t> DeltaOnlyKey(const PinnedSnapshot& p,
+                                              size_t col) {
+    std::vector<uint64_t> main_keys;
+    for (uint64_t r = 0; r < p.main_rows; ++r) {
+      main_keys.push_back(p.model.Key(r, col));
+    }
+    std::sort(main_keys.begin(), main_keys.end());
+    for (uint64_t r = p.main_rows; r < p.model.size(); ++r) {
+      const uint64_t key = p.model.Key(r, col);
+      if (!std::binary_search(main_keys.begin(), main_keys.end(), key)) {
+        return key;
+      }
+    }
+    return std::nullopt;
+  }
+
+  static uint64_t ValidSum(const ReferenceModel& model, size_t col) {
+    uint64_t sum = 0;
+    for (uint64_t r = 0; r < model.size(); ++r) {
+      if (model.IsValid(r)) sum += model.Key(r, col);
+    }
+    return sum;
+  }
+
+  /// Every public read on every column, checked against the model copy
+  /// taken at the snapshot's capture instant.
+  void VerifySnapshot(const PinnedSnapshot& p, Rng& rng, uint64_t domain) {
+    const Snapshot& snap = p.snap;
+    const ReferenceModel& model = p.model;
     ASSERT_EQ(snap.num_rows(), model.size());
     ASSERT_EQ(snap.valid_rows(), model.valid_count());
     EXPECT_FALSE(snap.IsRowValid(model.size() + 5));
     if (model.size() == 0) return;
 
-    for (int i = 0; i < 3; ++i) {
-      const uint64_t row = rng.Below(model.size());
+    // Random rows plus the newest one, which lives in the active prefix
+    // whenever the snapshot has one.
+    for (const uint64_t row : {rng.Below(model.size()), rng.Below(model.size()),
+                               rng.Below(model.size()), model.size() - 1}) {
       EXPECT_EQ(snap.IsRowValid(row), model.IsValid(row)) << "row " << row;
-      for (size_t col = 0; col < 3; ++col) {
+      for (size_t col = 0; col < kColumns; ++col) {
         EXPECT_EQ(snap.GetKey(col, row), model.Key(row, col))
             << "row " << row << " col " << col;
       }
     }
-    const uint64_t probe = rng.Below(domain);
-    for (size_t col = 0; col < 3; ++col) {
-      EXPECT_EQ(snap.CountEquals(col, probe), model.CountEquals(col, probe))
-          << "col " << col << " probe " << probe;
+
+    for (size_t col = 0; col < kColumns; ++col) {
+      // Equality probes: a random domain key, a key some row holds, a key
+      // absent from every partition, and a key only a delta holds.
+      std::vector<uint64_t> keys = {
+          rng.Below(domain), model.Key(rng.Below(model.size()), col),
+          domain + 12345};
+      if (const auto k = DeltaOnlyKey(p, col)) keys.push_back(*k);
+      for (const uint64_t k : keys) {
+        EXPECT_EQ(snap.CountEquals(col, k), model.CountEquals(col, k))
+            << "col " << col << " key " << k;
+        EXPECT_EQ(snap.CollectEquals(col, k, true),
+                  model.CollectEquals(col, k, true))
+            << "col " << col << " key " << k;
+        EXPECT_EQ(snap.CollectEquals(col, k, false),
+                  model.CollectEquals(col, k, false))
+            << "col " << col << " key " << k;
+        EXPECT_EQ(snap.CountEqualsValid(col, k),
+                  model.CollectEquals(col, k, true).size())
+            << "col " << col << " key " << k;
+      }
+
+      // Range probes: a random range, single-key ranges on the present key
+      // and the delta-only key, an inverted range (hi < lo), and a range
+      // past every key.
+      const uint64_t lo = rng.Below(domain);
+      std::vector<std::pair<uint64_t, uint64_t>> ranges = {
+          {lo, lo + rng.Below(domain / 4 + 1)},
+          {keys[1], keys[1]},
+          {lo + 1, lo},
+          {domain + 1, domain + 100}};
+      if (keys.size() > 3) ranges.emplace_back(keys[3], keys[3]);
+      for (const auto& [l, h] : ranges) {
+        EXPECT_EQ(snap.CountRange(col, l, h), model.CountRange(col, l, h))
+            << "col " << col << " range " << l << ".." << h;
+        EXPECT_EQ(snap.CollectRange(col, l, h, true),
+                  model.CollectRange(col, l, h, true))
+            << "col " << col << " range " << l << ".." << h;
+        EXPECT_EQ(snap.CollectRange(col, l, h, false),
+                  model.CollectRange(col, l, h, false))
+            << "col " << col << " range " << l << ".." << h;
+        EXPECT_EQ(snap.CountRangeValid(col, l, h),
+                  model.CollectRange(col, l, h, true).size())
+            << "col " << col << " range " << l << ".." << h;
+      }
+
+      EXPECT_EQ(snap.SumColumn(col), model.Sum(col)) << "col " << col;
+      EXPECT_EQ(snap.SumColumnValid(col), ValidSum(model, col))
+          << "col " << col;
     }
-    const uint64_t lo = rng.Below(domain);
-    const uint64_t hi = lo + rng.Below(domain / 4 + 1);
-    EXPECT_EQ(snap.CountRange(0, lo, hi), model.CountRange(0, lo, hi));
-    EXPECT_EQ(snap.SumColumn(0), model.Sum(0));
-    EXPECT_EQ(snap.SumColumn(1), model.Sum(1));
-    // The acceptance check: the scanned row *sets* agree, valid-only and
-    // all-versions alike.
-    EXPECT_EQ(snap.CollectEquals(0, probe, true),
-              model.CollectEquals(0, probe, true));
-    EXPECT_EQ(snap.CollectEquals(0, probe, false),
-              model.CollectEquals(0, probe, false));
-    EXPECT_EQ(snap.CollectRange(0, lo, hi, true),
-              model.CollectRange(0, lo, hi, true));
   }
 };
 
@@ -448,18 +522,37 @@ TEST_P(SnapshotDifferentialTest, EverySnapshotAgreesWithItsModelCopy) {
   ReferenceModel ref({8, 4, 16});
 
   // Pinned snapshots paired with the model state at their capture instant.
-  std::vector<std::pair<Snapshot, ReferenceModel>> pinned;
+  std::vector<PinnedSnapshot> pinned;
   constexpr size_t kMaxPinned = 6;
 
   std::vector<uint64_t> keys(3);
   uint64_t merges = 0;
+  uint64_t mid_merge_captures = 0;
+  uint64_t captures = 0;
   uint64_t verifications = 0;
+
+  const auto insert = [&] {
+    for (auto& k : keys) k = rng.Below(p.domain);
+    ASSERT_EQ(table.InsertRow(keys), ref.Insert(keys));
+  };
+  // Captures alternate between gated and solo main-partition counts.
+  const auto capture = [&] {
+    if (pinned.size() >= kMaxPinned) {
+      // Verify and release the oldest — it has usually outlived several
+      // merges by now, which is exactly the interesting case.
+      VerifySnapshot(pinned.front(), rng, p.domain);
+      ++verifications;
+      pinned.erase(pinned.begin());
+    }
+    table.EnableSharedScans(captures++ % 2 == 0);
+    pinned.push_back(
+        {table.CreateSnapshot(), ref, table.column(0).main_size()});
+  };
 
   for (int op = 0; op < p.ops; ++op) {
     const uint64_t dice = rng.Below(100);
     if (dice < 55 || ref.size() == 0) {
-      for (auto& k : keys) k = rng.Below(p.domain);
-      ASSERT_EQ(table.InsertRow(keys), ref.Insert(keys));
+      insert();
     } else if (dice < 75) {
       const uint64_t row = rng.Below(ref.size());
       for (auto& k : keys) k = rng.Below(p.domain);
@@ -470,8 +563,13 @@ TEST_P(SnapshotDifferentialTest, EverySnapshotAgreesWithItsModelCopy) {
       ref.Delete(row);
     } else {
       // Live read-through: the table itself, not a snapshot.
+      const size_t col = static_cast<size_t>(rng.Below(kColumns));
       const uint64_t probe = rng.Below(p.domain);
-      ASSERT_EQ(table.CountEquals(0, probe), ref.CountEquals(0, probe));
+      ASSERT_EQ(table.CountEquals(col, probe), ref.CountEquals(col, probe));
+      const uint64_t hi = probe + rng.Below(p.domain / 4 + 1);
+      ASSERT_EQ(table.CountRange(col, probe, hi),
+                ref.CountRange(col, probe, hi));
+      ASSERT_EQ(table.SumColumn(col), ref.Sum(col));
     }
 
     if (rng.NextDouble() < p.merge_probability) {
@@ -486,22 +584,34 @@ TEST_P(SnapshotDifferentialTest, EverySnapshotAgreesWithItsModelCopy) {
       ++merges;
     }
 
-    if (rng.NextDouble() < p.snapshot_probability) {
-      if (pinned.size() >= kMaxPinned) {
-        // Verify and release the oldest — it has usually outlived several
-        // merges by now, which is exactly the interesting case.
-        VerifySnapshot(pinned.front().first, pinned.front().second, rng,
-                       p.domain);
-        ++verifications;
-        pinned.erase(pinned.begin());
+    if (rng.NextDouble() < p.merge_probability / 2) {
+      // Mid-merge capture (the CapturedMidMergeSeesFrozenPlusActive recipe):
+      // freeze every column, capture main + frozen, write into the fresh
+      // active delta, capture main + frozen + active, then prepare and
+      // commit. Both snapshots outlive the commit that supersedes their
+      // frozen part.
+      for (size_t c = 0; c < table.num_columns(); ++c) {
+        table.column(c).FreezeDelta();
       }
-      pinned.emplace_back(table.CreateSnapshot(), ref);
+      capture();
+      insert();
+      capture();
+      for (size_t c = 0; c < table.num_columns(); ++c) {
+        table.column(c).PrepareMerge(MergeOptions{}, nullptr);
+        table.column(c).CommitMerge(&table.epoch_manager());
+      }
+      VerifySnapshot(pinned.back(), rng, p.domain);
+      ++verifications;
+      ++mid_merge_captures;
+      ++merges;
     }
+
+    if (rng.NextDouble() < p.snapshot_probability) capture();
 
     // Occasionally spot-check a random pinned snapshot mid-life.
     if (!pinned.empty() && rng.NextDouble() < 0.02) {
       const size_t i = static_cast<size_t>(rng.Below(pinned.size()));
-      VerifySnapshot(pinned[i].first, pinned[i].second, rng, p.domain);
+      VerifySnapshot(pinned[i], rng, p.domain);
       ++verifications;
     }
     if (::testing::Test::HasFailure()) {
@@ -511,8 +621,9 @@ TEST_P(SnapshotDifferentialTest, EverySnapshotAgreesWithItsModelCopy) {
   }
 
   ASSERT_GE(merges, 1u) << "parameterization never merged";
-  for (auto& [snap, model] : pinned) {
-    VerifySnapshot(snap, model, rng, p.domain);
+  ASSERT_GE(mid_merge_captures, 1u) << "parameterization never froze";
+  for (const PinnedSnapshot& s : pinned) {
+    VerifySnapshot(s, rng, p.domain);
     ++verifications;
   }
   EXPECT_GE(verifications, 10u) << "parameterization barely verified";
@@ -523,7 +634,7 @@ TEST_P(SnapshotDifferentialTest, EverySnapshotAgreesWithItsModelCopy) {
   EXPECT_EQ(table.epoch_manager().pinned_count(), 0u);
   EXPECT_EQ(table.epoch_manager().retired_count(), 0u);
   for (uint64_t row = 0; row < ref.size(); ++row) {
-    for (size_t col = 0; col < 3; ++col) {
+    for (size_t col = 0; col < kColumns; ++col) {
       ASSERT_EQ(table.GetKey(col, row), ref.Key(row, col))
           << "row " << row << " col " << col;
     }

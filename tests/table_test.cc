@@ -1,7 +1,7 @@
 // Copyright (c) 2026 The DeltaMerge Authors.
 // Tests for Table: the insert-only write path, validity semantics, the
-// three-phase online merge protocol, concurrent inserts during a merge, and
-// the merge scheduler's trigger policy.
+// three-phase online merge protocol, concurrent inserts during a merge, the
+// merge scheduler's trigger policy, and the read path's bounds checks.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/merge_scheduler.h"
+#include "core/partitioned_table.h"
 #include "core/table.h"
 #include "workload/table_builder.h"
 
@@ -225,6 +226,48 @@ TEST(Table, RepeatedMergesConverge) {
 }
 
 // --- MergeScheduler ---------------------------------------------------------
+
+// Out-of-range column and row ids abort in every build type instead of
+// reading past a column vector or a delta's value array. (Suite name kept
+// out of the TSan job's filter: death tests fork.)
+TEST(ReadBoundsDeathTest, TableColumnIndex) {
+  Table t(SmallSchema());
+  t.InsertRow({1, 2, 3, 4});
+  EXPECT_DEATH(t.GetKey(4, 0), "column index out of range");
+  EXPECT_DEATH(t.CountEquals(4, 1), "column index out of range");
+  EXPECT_DEATH(t.CountRange(9, 0, 9), "column index out of range");
+  EXPECT_DEATH(t.SumColumn(4), "column index out of range");
+}
+
+TEST(ReadBoundsDeathTest, TableRowIndex) {
+  Table t(SmallSchema());
+  t.InsertRow({1, 2, 3, 4});
+  EXPECT_EQ(t.GetKey(0, 0), 1u);
+  EXPECT_DEATH(t.GetKey(0, 1), "row id beyond table size");
+  EXPECT_DEATH(t.GetKey(3, 1000), "row id beyond table size");
+}
+
+TEST(ReadBoundsDeathTest, CapturedColumnIndex) {
+  Table t(SmallSchema());
+  t.InsertRow({1, 2, 3, 4});
+  const Snapshot snap = t.CreateSnapshot();
+  EXPECT_DEATH(snap.GetKey(4, 0), "column index out of range");
+  EXPECT_DEATH(snap.CountEquals(4, 1), "column index out of range");
+  EXPECT_DEATH(snap.CountRangeValid(4, 0, 9), "column index out of range");
+  EXPECT_DEATH(snap.SumColumn(7), "column index out of range");
+  EXPECT_DEATH(snap.CollectEquals(4, 1, true), "column index out of range");
+  EXPECT_DEATH(snap.GetKey(0, 1), "row beyond the snapshot horizon");
+}
+
+TEST(ReadBoundsDeathTest, PartitionedRowIndex) {
+  PartitionedTable t(SmallSchema(), 4);
+  for (uint64_t i = 0; i < 6; ++i) t.InsertRow({i, i, i, i});
+  EXPECT_EQ(t.GetKey(0, 5), 5u);
+  // Row 6 falls in the tail segment's range but past its last row.
+  EXPECT_DEATH(t.GetKey(0, 6), "row id beyond table size");
+  EXPECT_DEATH(t.GetKey(0, 8), "global row id beyond table size");
+  EXPECT_DEATH(t.GetKey(4, 0), "column index out of range");
+}
 
 TEST(MergeScheduler, TriggerPolicyThreshold) {
   auto t = BuildTable(10000, 0,
