@@ -6,20 +6,59 @@
 // from [3] could be taken further to directly include a horizontal
 // partitioning strategy." (§9)
 //
-// Both tables ingest the same row stream with the same 1% merge trigger.
-// The monolithic table's merge touches all N_M tuples every time (cost per
+// Both tables ingest the same row stream with the same 1% merge trigger,
+// through the same PartitionedTable front door. The monolithic table is one
+// unbounded segment whose merge touches all N_M tuples every time (cost per
 // merge grows with table size); the partitioned table only ever merges the
 // open segment (bounded work, bounded scratch memory). The trade: reads fan
 // out over per-segment dictionaries.
 
 #include <cstdio>
+#include <limits>
 
 #include "bench_common.h"
-#include "core/merge_scheduler.h"
 #include "core/partitioned_table.h"
 
 using namespace deltamerge;
 using namespace deltamerge::bench;
+
+namespace {
+
+struct IngestOutcome {
+  uint64_t merges = 0;
+  uint64_t tuples_touched = 0;
+  uint64_t merge_cycles = 0;
+  uint64_t max_merge = 0;
+};
+
+/// Inserts `total_rows` seeded rows in `batch`-row rounds and runs one
+/// 1%-triggered merge pass after each round.
+IngestOutcome Ingest(PartitionedTable* t, uint64_t total_rows, uint64_t batch) {
+  MergeDaemonPolicy policy;  // fill-only: the bare §4 trigger
+  policy.delta_fraction = 0.01;
+  policy.min_delta_rows = 256;
+  policy.rate_lookahead = false;
+  IngestOutcome out;
+  Rng rng(1234);
+  std::vector<uint64_t> row(t->num_columns());
+  for (uint64_t done = 0; done < total_rows; done += batch) {
+    for (uint64_t i = 0; i < batch; ++i) {
+      for (auto& k : row) k = rng.Below(1 << 20);
+      t->InsertRow(row);
+    }
+    const PartitionedMergeReport rep =
+        t->MergeDueSegments(policy, TableMergeOptions{});
+    if (rep.table.rows_merged > 0) {
+      ++out.merges;
+      out.tuples_touched += rep.table.stats.nm + rep.table.stats.nd;
+      out.merge_cycles += rep.table.wall_cycles;
+      out.max_merge = std::max(out.max_merge, rep.max_segment_wall_cycles);
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 int main() {
   const BenchConfig cfg = BenchConfig::FromEnv();
@@ -31,76 +70,27 @@ int main() {
   const uint64_t batch = std::max<uint64_t>(1, total_rows / 100);
   const int nc = 4;
 
-  MergeTriggerPolicy policy;
-  policy.delta_fraction = 0.01;
-  policy.min_delta_rows = 256;
-  MergeDaemonPolicy part_policy;
-  part_policy.delta_fraction = policy.delta_fraction;
-  part_policy.min_delta_rows = policy.min_delta_rows;
-  part_policy.rate_lookahead = false;
-  TableMergeOptions options;
-
-  Rng rng(1234);
-  std::vector<uint64_t> row(nc);
-
-  // --- monolithic table ---
-  Table mono(Schema::Uniform(nc, 8));
-  uint64_t mono_merges = 0, mono_tuples_touched = 0, mono_cycles = 0,
-           mono_max_merge = 0;
-  for (uint64_t done = 0; done < total_rows; done += batch) {
-    for (uint64_t i = 0; i < batch; ++i) {
-      for (int c = 0; c < nc; ++c) row[static_cast<size_t>(c)] = rng.Below(1 << 20);
-      mono.InsertRow(row);
-    }
-    if (ShouldMerge(mono, policy)) {
-      auto r = mono.Merge(options);
-      if (!r.ok()) std::abort();
-      const TableMergeReport& rep = r.ValueOrDie();
-      ++mono_merges;
-      mono_tuples_touched += rep.stats.nm + rep.stats.nd;
-      mono_cycles += rep.wall_cycles;
-      mono_max_merge = std::max(mono_max_merge, rep.wall_cycles);
-    }
-  }
-
-  // --- partitioned table ---
+  PartitionedTable mono(Schema::Uniform(nc, 8),
+                        std::numeric_limits<uint64_t>::max());
+  const IngestOutcome m = Ingest(&mono, total_rows, batch);
   PartitionedTable part(Schema::Uniform(nc, 8), segment_capacity);
-  uint64_t part_merges = 0, part_tuples_touched = 0, part_cycles = 0,
-           part_max_merge = 0;
-  Rng rng2(1234);
-  for (uint64_t done = 0; done < total_rows; done += batch) {
-    for (uint64_t i = 0; i < batch; ++i) {
-      for (int c = 0; c < nc; ++c) {
-        row[static_cast<size_t>(c)] = rng2.Below(1 << 20);
-      }
-      part.InsertRow(row);
-    }
-    const PartitionedMergeReport rep =
-        part.MergeDueSegments(part_policy, options);
-    if (rep.table.rows_merged > 0) {
-      ++part_merges;
-      part_tuples_touched += rep.table.stats.nm + rep.table.stats.nd;
-      part_cycles += rep.table.wall_cycles;
-      part_max_merge = std::max(part_max_merge, rep.max_segment_wall_cycles);
-    }
-  }
+  const IngestOutcome p = Ingest(&part, total_rows, batch);
 
   std::printf("%llu rows x %d columns ingested, merge trigger = 1%%\n\n",
               (unsigned long long)total_rows, nc);
   std::printf("%-22s %14s %14s\n", "", "monolithic", "partitioned");
   std::printf("%-22s %14llu %14llu\n", "merge rounds",
-              (unsigned long long)mono_merges,
-              (unsigned long long)part_merges);
+              (unsigned long long)m.merges, (unsigned long long)p.merges);
   std::printf("%-22s %14s %14s\n", "tuples re-encoded",
-              HumanCount(mono_tuples_touched).c_str(),
-              HumanCount(part_tuples_touched).c_str());
+              HumanCount(m.tuples_touched).c_str(),
+              HumanCount(p.tuples_touched).c_str());
   std::printf("%-22s %14.2f %14.2f\n", "total merge Gcycles",
-              static_cast<double>(mono_cycles) / 1e9,
-              static_cast<double>(part_cycles) / 1e9);
+              static_cast<double>(m.merge_cycles) / 1e9,
+              static_cast<double>(p.merge_cycles) / 1e9);
   std::printf("%-22s %14.2f %14.2f\n", "worst merge Gcycles",
-              static_cast<double>(mono_max_merge) / 1e9,
-              static_cast<double>(part_max_merge) / 1e9);
-  std::printf("%-22s %14zu %14zu\n", "segments", size_t{1},
+              static_cast<double>(m.max_merge) / 1e9,
+              static_cast<double>(p.max_merge) / 1e9);
+  std::printf("%-22s %14zu %14zu\n", "segments", mono.num_segments(),
               part.num_segments());
 
   // Read-side price: same range query against both.
@@ -118,9 +108,9 @@ int main() {
   std::printf("\nreading the table: partitioning cuts total re-encoding "
               "work %.1fx and bounds the worst merge %.1fx, at a modest "
               "read fan-out cost — §9's horizontal strategy.\n",
-              static_cast<double>(mono_tuples_touched) /
-                  static_cast<double>(part_tuples_touched ? part_tuples_touched : 1),
-              static_cast<double>(mono_max_merge) /
-                  static_cast<double>(part_max_merge ? part_max_merge : 1));
+              static_cast<double>(m.tuples_touched) /
+                  static_cast<double>(p.tuples_touched ? p.tuples_touched : 1),
+              static_cast<double>(m.max_merge) /
+                  static_cast<double>(p.max_merge ? p.max_merge : 1));
   return 0;
 }

@@ -9,7 +9,7 @@
 // Using the merge cost model (Eqs. 8-15) plus the scan-tax model
 // (model/read_cost.h), this bench prints amortized cycles-per-update as a
 // function of the merge threshold N_D, and the advised optimum for several
-// read/write mixes — the number MergeTriggerPolicy::delta_fraction wants.
+// read/write mixes — the number MergeDaemonPolicy::delta_fraction wants.
 
 #include <cstdio>
 

@@ -1,8 +1,11 @@
 // Copyright (c) 2026 The DeltaMerge Authors.
 // Online merge under load (§3, §9): a single writer sustains the paper's
 // insert-only update stream while N reader threads pin epoch snapshots and
-// run lookups / range counts / scans against them, and the MergeDaemon
-// merges whenever the §4 trigger fires. Reported per configuration:
+// run lookups / range counts / scans against them, and the
+// PartitionedMergeDaemon merges whenever the §4 trigger fires. The table is
+// built as one Table and adopted as a single unbounded segment, so every
+// merge folds the whole delta into the whole main. Reported per
+// configuration:
 //
 //   * updates/s the writer sustained (the Figure 9 metric, measured);
 //   * reader latency p50/p95 over all reads vs. reads that overlapped a
@@ -16,9 +19,10 @@
 // Knobs: DM_SCALE / DM_THREADS (see bench_common.h), DM_READERS.
 
 #include <cstdio>
+#include <limits>
 
 #include "bench_common.h"
-#include "core/merge_daemon.h"
+#include "core/partitioned_table.h"
 #include "core/table.h"
 #include "util/cycle_clock.h"
 #include "workload/query_gen.h"
@@ -42,6 +46,9 @@ void RunConfig(const BenchConfig& cfg, int readers, bool with_daemon) {
     s.delta_unique = 0.1;
   }
   auto table = BuildTable(nm, 0, specs, /*seed=*/42);
+  const PartitionedTable::RecoveredSegment adopted{table.get(), false};
+  PartitionedTable part(table->schema(), std::numeric_limits<uint64_t>::max(),
+                        nullptr, {&adopted, 1});
 
   MergeDaemonPolicy policy;
   policy.delta_fraction = 0.01;  // Figure 9's 1% trigger
@@ -50,7 +57,7 @@ void RunConfig(const BenchConfig& cfg, int readers, bool with_daemon) {
   TableMergeOptions merge_options;
   merge_options.num_threads = cfg.threads > 1 ? cfg.threads / 2 : 1;
   merge_options.parallelism = MergeParallelism::kColumnTasks;
-  MergeDaemon daemon(table.get(), policy, merge_options);
+  PartitionedMergeDaemon daemon(&part, policy, merge_options);
 
   ConcurrentWorkloadOptions options;
   options.num_readers = readers;
@@ -59,7 +66,7 @@ void RunConfig(const BenchConfig& cfg, int readers, bool with_daemon) {
   options.seed = 42;
 
   const ConcurrentWorkloadReport report = RunConcurrentReadWriteMerge(
-      table.get(), with_daemon ? &daemon : nullptr, options);
+      &part, with_daemon ? &daemon : nullptr, options);
   if (with_daemon) daemon.Stop();
 
   const double to_us = 1e6 / CycleClock::FrequencyHz();
@@ -78,12 +85,13 @@ void RunConfig(const BenchConfig& cfg, int readers, bool with_daemon) {
       json, sizeof(json),
       "\"bench\":\"online_merge\",\"mode\":\"%s\",\"readers\":%d,"
       "\"updates_per_s\":%.0f,\"read_p50_us\":%.2f,"
-      "\"read_merge_p50_us\":%.2f,\"merges\":%llu",
+      "\"read_merge_p50_us\":%.2f,\"merges\":%llu,\"rows_merged\":%llu",
       with_daemon ? "daemon" : "no-merge", readers,
       report.updates_per_second(),
       static_cast<double>(report.reader_all.p50) * to_us,
       static_cast<double>(report.reader_during_merge.p50) * to_us,
-      static_cast<unsigned long long>(report.merges_completed));
+      static_cast<unsigned long long>(report.merges_completed),
+      static_cast<unsigned long long>(report.rows_merged));
   AppendJsonResult(json);
 }
 
@@ -96,7 +104,7 @@ int main() {
 
   const BenchConfig cfg = BenchConfig::FromEnv();
   PrintHeader("Online merge under load: updates/s + snapshot-read latency "
-              "while the MergeDaemon merges",
+              "while the merge daemon merges",
               cfg);
   const int readers = static_cast<int>(
       EnvU64("DM_READERS", cfg.threads > 4 ? 4 : cfg.threads));

@@ -1,6 +1,7 @@
 // Copyright (c) 2026 The DeltaMerge Authors.
-// Sharded-scale systems bench (PR 5): the production PartitionedTable vs
-// the monolithic Table.
+// Sharded-scale systems bench: PartitionedTable at several segment counts
+// vs the monolithic shape — one unbounded segment, ingested and merged
+// through the same front door and the same §4 trigger.
 //
 // Three questions, matching the §9 claims the sharded front door exists
 // for:
@@ -23,11 +24,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <mutex>
 #include <thread>
 
 #include "bench_common.h"
-#include "core/merge_scheduler.h"
 #include "core/partitioned_table.h"
 
 using namespace deltamerge;
@@ -50,31 +51,6 @@ struct IngestResult {
   uint64_t worst_merge_cycles = 0;
   uint64_t total_merge_cycles = 0;
 };
-
-IngestResult IngestMono(Table* table, uint64_t total, uint64_t batch_rows) {
-  MergeTriggerPolicy policy;
-  policy.delta_fraction = 0.01;
-  policy.min_delta_rows = 256;
-  IngestResult out;
-  Rng rng(4242);
-  const uint64_t t0 = CycleClock::Now();
-  for (uint64_t done = 0; done < total; done += batch_rows) {
-    const uint64_t n = std::min(batch_rows, total - done);
-    const std::vector<uint64_t> keys = MakeBatch(rng, n);
-    table->InsertRows(keys, n);
-    if (ShouldMerge(*table, policy)) {
-      auto r = table->Merge(TableMergeOptions{});
-      if (!r.ok()) std::abort();
-      ++out.merges;
-      out.worst_merge_cycles =
-          std::max(out.worst_merge_cycles, r.ValueOrDie().wall_cycles);
-      out.total_merge_cycles += r.ValueOrDie().wall_cycles;
-    }
-  }
-  out.rows_per_sec = static_cast<double>(total) /
-                     CycleClock::ToSeconds(CycleClock::Now() - t0);
-  return out;
-}
 
 IngestResult IngestPartitioned(PartitionedTable* table, uint64_t total,
                                uint64_t batch_rows) {
@@ -196,9 +172,10 @@ int main() {
   const uint64_t batch = std::max<uint64_t>(1, total / 200);
   const int read_iters = 20;
 
-  // --- monolithic baseline ---
-  Table mono(Schema::Uniform(kColumns, 8));
-  const IngestResult mono_r = IngestMono(&mono, total, batch);
+  // --- monolithic baseline: one segment that never seals ---
+  PartitionedTable mono(Schema::Uniform(kColumns, 8),
+                        std::numeric_limits<uint64_t>::max());
+  const IngestResult mono_r = IngestPartitioned(&mono, total, batch);
   std::printf("%-12s %10s %12s %14s %14s %12s %12s\n", "config", "merges",
               "ingest Mr/s", "worst mrg Mcy", "total mrg Mcy", "rd ser Mcy",
               "rd par Mcy");

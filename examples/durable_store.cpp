@@ -68,7 +68,8 @@ int main() {
     (void)t.DeleteRow(0);
 
     // A foreground merge: the commit writes a checkpoint and truncates the
-    // WAL (a MergeDaemon would do the same autonomously).
+    // WAL (on a DurablePartitionedTable, the PartitionedMergeDaemon does the
+    // same autonomously, per segment).
     TableMergeOptions merge;
     merge.num_threads = 2;
     auto report = t.Merge(merge);

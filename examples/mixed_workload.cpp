@@ -5,7 +5,7 @@
 // delta never grows unbounded.
 //
 // The driver replays Figure 1's OLTP query mix against a sales-line table
-// while a MergeScheduler keeps the delta below 1% of the main partition,
+// while the merge daemon keeps the delta below 1% of the main partition,
 // then switches to the OLAP mix for a reporting phase. It prints sustained
 // throughput per phase and the merge activity that happened underneath.
 //
@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "deltamerge.h"
 
@@ -27,7 +28,8 @@ uint64_t EnvU64(const char* name, uint64_t fallback) {
 }
 
 void PrintPhase(const char* name, const WorkloadReport& report,
-                const MergeScheduler& scheduler, const Table& table) {
+                const PartitionedMergeDaemon& daemon,
+                const PartitionedTable& table) {
   std::printf("\n[%s] %llu ops at %.0f ops/s\n", name,
               (unsigned long long)report.total_ops,
               report.ops_per_second());
@@ -41,10 +43,11 @@ void PrintPhase(const char* name, const WorkloadReport& report,
                 static_cast<double>(report.cycles[t]) /
                     static_cast<double>(report.count[t]));
   }
+  const PartitionedMergeDaemonStats stats = daemon.stats();
   std::printf("  merges so far: %llu (%llu rows folded); delta now %llu "
               "rows of %llu total\n",
-              (unsigned long long)scheduler.merges_completed(),
-              (unsigned long long)scheduler.rows_merged(),
+              (unsigned long long)stats.segments_merged,
+              (unsigned long long)stats.rows_merged,
               (unsigned long long)table.delta_rows(),
               (unsigned long long)table.num_rows());
 }
@@ -70,17 +73,24 @@ int main() {
       {4, 0.001, 0.001},  // status codes
   };
   auto table = BuildTable(base_rows, 0, specs, 2026);
+  // Adopt the built table as one unbounded segment: a monolithic store that
+  // every merge folds whole.
+  const PartitionedTable::RecoveredSegment adopted{table.get(), false};
+  PartitionedTable store(table->schema(),
+                         std::numeric_limits<uint64_t>::max(), nullptr,
+                         {&adopted, 1});
 
   // Background merging: trigger at 1% delta fraction (§4's policy, the
   // Figure 9 setting), using the optimized parallel merge.
-  MergeTriggerPolicy policy;
+  MergeDaemonPolicy policy;
   policy.delta_fraction = 0.01;
   policy.min_delta_rows = 4096;
+  policy.rate_lookahead = false;
   TableMergeOptions merge_options;
   merge_options.merge.algorithm = MergeAlgorithm::kLinear;
   merge_options.num_threads = threads;
-  MergeScheduler scheduler(table.get(), policy, merge_options);
-  scheduler.Start();
+  PartitionedMergeDaemon daemon(&store, policy, merge_options);
+  daemon.Start();
 
   WorkloadOptions wopt;
   wopt.key_domain = PoolSizeFor(base_rows, 0.01);
@@ -88,28 +98,28 @@ int main() {
 
   // Phase 1: transactional day — OLTP mix (~17% writes, Figure 1).
   const WorkloadReport oltp =
-      RunMixedWorkload(table.get(), OltpMix(), ops_per_phase, wopt);
-  PrintPhase("OLTP phase", oltp, scheduler, *table);
+      RunMixedWorkload(&store, OltpMix(), ops_per_phase, wopt);
+  PrintPhase("OLTP phase", oltp, daemon, store);
 
   // Phase 2: reporting — OLAP mix (>90% reads) over the same, still-fresh
   // data. No ETL, no second system: the paper's §2 argument.
   wopt.seed = 777;
   const WorkloadReport olap =
-      RunMixedWorkload(table.get(), OlapMix(), ops_per_phase / 4, wopt);
-  PrintPhase("OLAP phase", olap, scheduler, *table);
+      RunMixedWorkload(&store, OlapMix(), ops_per_phase / 4, wopt);
+  PrintPhase("OLAP phase", olap, daemon, store);
 
-  scheduler.Stop();
+  daemon.Stop();
 
-  const MergeStats merged = scheduler.stats();
+  const PartitionedMergeDaemonStats merged = daemon.stats();
   std::printf("\nmerge activity: %llu merges, %.1f cycles/tuple/column "
               "average, delta kept <= %.1f%% of main\n",
-              (unsigned long long)scheduler.merges_completed(),
-              merged.CyclesPerTuple(), policy.delta_fraction * 100);
+              (unsigned long long)merged.segments_merged,
+              merged.merge.CyclesPerTuple(), policy.delta_fraction * 100);
   std::printf("final table: %llu rows (%llu valid), %.1f MB across %zu "
               "columns\n",
-              (unsigned long long)table->num_rows(),
-              (unsigned long long)table->valid_rows(),
+              (unsigned long long)store.num_rows(),
+              (unsigned long long)store.valid_rows(),
               static_cast<double>(table->memory_bytes()) / (1 << 20),
-              table->num_columns());
+              store.num_columns());
   return 0;
 }

@@ -2,25 +2,9 @@
 
 #include "core/merge_daemon.h"
 
-#include <chrono>
-
 #include "util/cycle_clock.h"
 
 namespace deltamerge {
-
-std::string_view MergeTriggerToString(MergeTrigger t) {
-  switch (t) {
-    case MergeTrigger::kNone:
-      return "none";
-    case MergeTrigger::kDeltaSize:
-      return "delta-size";
-    case MergeTrigger::kCostBudget:
-      return "cost-budget";
-    case MergeTrigger::kRateLookahead:
-      return "rate-lookahead";
-  }
-  return "?";
-}
 
 double ProjectedMergeSeconds(const std::vector<Table::ColumnShape>& shapes,
                              const MachineProfile& m, int threads) {
@@ -42,11 +26,6 @@ double ProjectedMergeSeconds(const std::vector<Table::ColumnShape>& shapes,
     seconds += p.total_cpt() * static_cast<double>(nm + nd) / m.frequency_hz;
   }
   return seconds;
-}
-
-double ProjectedMergeSeconds(const Table& table, const MachineProfile& m,
-                             int threads) {
-  return ProjectedMergeSeconds(table.column_shapes(), m, threads);
 }
 
 MergeTrigger EvaluateMergeTrigger(const Table& table,
@@ -100,85 +79,6 @@ double DeltaRateEstimator::Update(uint64_t delta_rows_now) {
   last_delta_rows_ = delta_rows_now;
   last_poll_cycles_ = now;
   return delta_rows_per_sec_;
-}
-
-MergeDaemon::MergeDaemon(Table* table, MergeDaemonPolicy policy,
-                         TableMergeOptions options)
-    : table_(table),
-      policy_(policy),
-      options_(options),
-      poller_(policy.poll_interval_us, [this] { PollOnce(); }) {
-  DM_CHECK(table != nullptr);
-}
-
-MergeDaemon::~MergeDaemon() { Stop(); }
-
-void MergeDaemon::Start() {
-  // Serialize concurrent Start() calls: the rate-estimation state may only
-  // be reset while the poll thread is provably not running (the PR 2
-  // hand-rolled loop held its mutex across all of Start for the same
-  // reason).
-  MutexLock lock(lifecycle_mu_);
-  if (poller_.running()) return;
-  rate_.Reset(table_->delta_rows());
-  poller_.Start();
-}
-
-void MergeDaemon::Stop() { poller_.Stop(); }
-
-void MergeDaemon::Nudge() { poller_.Nudge(); }
-
-void MergeDaemon::Pause() { poller_.Pause(); }
-
-void MergeDaemon::Resume() { poller_.Resume(); }
-
-bool MergeDaemon::paused() const { return poller_.paused(); }
-
-MergeDaemonStats MergeDaemon::stats() const {
-  MutexLock lock(stats_mu_);
-  MergeDaemonStats out = stats_;
-  out.polls = poller_.polls();
-  return out;
-}
-
-void MergeDaemon::PollOnce() {
-  const double delta_rows_per_sec = rate_.Update(table_->delta_rows());
-
-  const MergeTrigger trigger = EvaluateMergeTrigger(
-      *table_, policy_, options_.num_threads, delta_rows_per_sec);
-  if (trigger == MergeTrigger::kNone) return;
-
-  merge_in_flight_.store(true, std::memory_order_release);
-  auto result = table_->Merge(options_);
-  merge_in_flight_.store(false, std::memory_order_release);
-
-  MutexLock lock(stats_mu_);
-  switch (trigger) {
-    case MergeTrigger::kDeltaSize:
-      ++stats_.size_triggers;
-      break;
-    case MergeTrigger::kCostBudget:
-      ++stats_.cost_triggers;
-      break;
-    case MergeTrigger::kRateLookahead:
-      ++stats_.rate_triggers;
-      break;
-    case MergeTrigger::kNone:
-      break;
-  }
-  if (!result.ok()) {
-    // Another merger won the race; the trigger will re-fire if needed.
-    ++stats_.failed_merges;
-    return;
-  }
-  const TableMergeReport& report = result.ValueOrDie();
-  ++stats_.merges;
-  stats_.rows_merged += report.rows_merged;
-  stats_.merge_wall_cycles += report.wall_cycles;
-  stats_.merge.Accumulate(report.stats);
-  // The merge shrank the delta; re-anchor so the shrink is not read as
-  // zero arrival next poll.
-  rate_.Rebase(table_->delta_rows());
 }
 
 }  // namespace deltamerge

@@ -1,10 +1,10 @@
 // Copyright (c) 2026 The DeltaMerge Authors.
-// MergeDaemon: the autonomous online-merge driver of §9.
+// The online-merge trigger of §4 and §9.
 //
 // "In our system, we trigger the merging of partitions when the number of
 // tuples N_D in the delta partition is greater than a certain pre-defined
-// fraction of tuples in the main partition N_M" (§4) — the daemon watches
-// that fill trigger, and augments it with two §9-flavoured policies:
+// fraction of tuples in the main partition N_M" (§4) — EvaluateMergeTrigger
+// is that fill trigger, augmented with two §9-flavoured policies:
 //
 //   * a cost-model hint: projected merge duration (the §6/§7.4 model
 //     evaluated on the table's current cardinalities) is kept under a
@@ -14,22 +14,26 @@
 //     poll interval ahead, so a burst of updates starts the merge just
 //     before — not just after — the threshold is crossed.
 //
-// The daemon runs Table::Merge, so every commit retires the superseded
-// generation into the table's EpochManager: readers that pinned a Snapshot
+// With rate_lookahead off and no cost budget the policy is the bare §4
+// trigger: N_D >= min_delta_rows && N_D > delta_fraction * N_M.
+//
+// The background driver is PartitionedMergeDaemon (core/partitioned_table.h):
+// each poll runs PartitionedTable::MergeDueSegments, which applies this
+// trigger to the open tail segment. A monolithic table is a PartitionedTable
+// with segment capacity UINT64_MAX — one segment that never seals — so the
+// same daemon drives it. Every merge commit retires the superseded
+// generation into the segment's EpochManager: readers that pinned a snapshot
 // before the commit keep a consistent view, and the old main is freed only
-// when their epochs drain. Contrast with the simpler MergeScheduler (the
-// bare §4 trigger), which this subsystem supersedes.
+// when their epochs drain.
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <vector>
 
 #include "core/table.h"
 #include "model/cost_model.h"
 #include "model/machine_profile.h"
-#include "util/poll_thread.h"
-#include "util/thread_annotations.h"
 
 namespace deltamerge {
 
@@ -40,8 +44,6 @@ enum class MergeTrigger : uint8_t {
   kCostBudget,     ///< projected merge time reached the budget (§9 hint)
   kRateLookahead,  ///< extrapolated N_D crosses the threshold next poll
 };
-
-std::string_view MergeTriggerToString(MergeTrigger t);
 
 struct MergeDaemonPolicy {
   /// §4's pre-defined fraction (Figure 9 uses 1%).
@@ -57,8 +59,8 @@ struct MergeDaemonPolicy {
   uint64_t poll_interval_us = 1000;
   /// Machine model the cost hint projects against.
   MachineProfile profile = MachineProfile::Paper();
-  /// Sealed-segment tombstone compaction (PartitionedMergeDaemon passes
-  /// only): once a sealed, final-merged segment's journal holds this many
+  /// Sealed-segment tombstone compaction, applied by every MergeDueSegments
+  /// pass: once a sealed, final-merged segment's journal holds this many
   /// records past its newest durable checkpoint — only tombstones from
   /// later deletes/updates of its rows can accumulate there — the pass
   /// rewrites a validity-only compaction checkpoint (Table::
@@ -67,26 +69,11 @@ struct MergeDaemonPolicy {
   uint64_t compact_uncheckpointed_records = 0;
 };
 
-/// Running counters; retrieved atomically via MergeDaemon::stats().
-struct MergeDaemonStats {
-  uint64_t polls = 0;
-  uint64_t merges = 0;
-  uint64_t rows_merged = 0;
-  uint64_t failed_merges = 0;  ///< lost the race to a concurrent merger
-  uint64_t size_triggers = 0;
-  uint64_t cost_triggers = 0;
-  uint64_t rate_triggers = 0;
-  uint64_t merge_wall_cycles = 0;  ///< summed Table::Merge wall time
-  MergeStats merge;                ///< per-step stats over all merges
-};
-
 /// Projected wall-clock seconds for merging columns of the given shapes
 /// (the §6 model evaluated per column and summed), used by the kCostBudget
-/// trigger. The Table overload captures the shapes under the table lock.
+/// trigger (Table::column_shapes() captures them under the table lock).
 double ProjectedMergeSeconds(const std::vector<Table::ColumnShape>& shapes,
                              const MachineProfile& m, int threads);
-double ProjectedMergeSeconds(const Table& table, const MachineProfile& m,
-                             int threads);
 
 /// Pure trigger decision for one poll; `delta_rows_per_sec` is the caller's
 /// current estimate of the update arrival rate (0 disables lookahead).
@@ -96,8 +83,8 @@ MergeTrigger EvaluateMergeTrigger(const Table& table,
                                   int merge_threads,
                                   double delta_rows_per_sec);
 
-/// EWMA estimate of the delta arrival rate, shared by both merge daemons'
-/// poll loops (watcher thread only — no internal synchronization). Merges
+/// EWMA estimate of the delta arrival rate, kept by PartitionedMergeDaemon's
+/// poll loop (watcher thread only — no internal synchronization). Merges
 /// shrink the delta; only growth counts as arrival, and the smoothing
 /// keeps one idle poll from erasing a burst.
 class DeltaRateEstimator {
@@ -117,62 +104,6 @@ class DeltaRateEstimator {
   uint64_t last_delta_rows_ = 0;
   uint64_t last_poll_cycles_ = 0;
   double delta_rows_per_sec_ = 0.0;
-};
-
-/// Background merge driver for one table. Start() spawns the watcher
-/// thread; each poll evaluates the trigger and, when it fires, runs
-/// Table::Merge with the configured options while inserts and snapshot
-/// reads continue (§3's online property).
-class MergeDaemon {
- public:
-  MergeDaemon(Table* table, MergeDaemonPolicy policy,
-              TableMergeOptions options);
-  ~MergeDaemon();
-
-  DM_DISALLOW_COPY_AND_MOVE(MergeDaemon);
-
-  void Start() DM_EXCLUDES(lifecycle_mu_);
-  /// Stops the watcher; an in-flight merge completes first.
-  void Stop();
-
-  /// Wakes the watcher immediately (e.g. after a large batch insert).
-  void Nudge();
-
-  /// Suspends merging without tearing the thread down (§3/§9: "a scheduling
-  /// algorithm can detect a good point in time to start and even pause and
-  /// resume the merge process").
-  void Pause();
-  void Resume();
-  bool paused() const;
-
-  /// True while a merge body is executing (readers use this to classify
-  /// latency samples; tests use it to prove reads overlapped a merge).
-  bool merge_in_flight() const {
-    return merge_in_flight_.load(std::memory_order_acquire);
-  }
-
-  MergeDaemonStats stats() const DM_EXCLUDES(stats_mu_);
-
- private:
-  /// One poll tick: refresh the arrival-rate estimate, evaluate the
-  /// trigger, and run the merge if it fired. Invoked by poller_.
-  void PollOnce() DM_EXCLUDES(stats_mu_);
-
-  Table* table_;
-  MergeDaemonPolicy policy_;
-  TableMergeOptions options_;
-
-  /// The shared poll-loop harness (stop/nudge/pause lifecycle); the §9
-  /// policy brain above stays daemon-specific.
-  PollThread poller_;
-
-  std::atomic<bool> merge_in_flight_{false};
-  Mutex lifecycle_mu_;  ///< serializes Start() (rate-state reset)
-  mutable Mutex stats_mu_;
-  MergeDaemonStats stats_ DM_GUARDED_BY(stats_mu_);
-
-  /// Arrival-rate estimate (watcher thread only).
-  DeltaRateEstimator rate_;
 };
 
 }  // namespace deltamerge

@@ -23,6 +23,11 @@
 //     = segment base + local row id (bases are multiples of the capacity,
 //     because a segment seals at exactly its capacity).
 //
+// A capacity of UINT64_MAX is the monolithic table: one segment that never
+// seals, whose merges each fold its whole delta into its whole main, as §4
+// describes. It runs the same write path, snapshots and merge daemon as
+// every bounded shape.
+//
 // Concurrency model (the locks are deliberately split; full protocol in
 // docs/ARCHITECTURE.md "Per-segment parallel commits"):
 //
@@ -158,20 +163,26 @@ class PartitionedTable {
     virtual Table* CreateSegment(size_t index) = 0;
   };
 
-  /// A segment recovered by the durable wrapper before construction.
+  /// A segment recovered by the durable wrapper before construction — or,
+  /// passed alone with null hooks at capacity UINT64_MAX, a prebuilt Table
+  /// (e.g. from BuildTable) adopted as the one unbounded segment. The caller
+  /// keeps ownership and keeps the table alive for the PartitionedTable's
+  /// lifetime.
   struct RecoveredSegment {
     Table* table = nullptr;
     bool sealed = false;
   };
 
-  /// `segment_capacity` rows per horizontal segment (>= 1).
+  /// `segment_capacity` rows per horizontal segment (>= 1);
+  /// std::numeric_limits<uint64_t>::max() keeps one unbounded segment.
   PartitionedTable(Schema schema, uint64_t segment_capacity)
       : PartitionedTable(std::move(schema), segment_capacity, nullptr, {}) {}
 
   /// Durable-wrapper constructor: segments come from `recovered` (tables
   /// owned by the hooks implementor; the last one is the tail) and future
   /// rollovers call `hooks->CreateSegment`. With an empty `recovered` list
-  /// the first segment is created through the hooks immediately.
+  /// the first segment is created through the hooks immediately. With null
+  /// `hooks`, rollovers create in-memory segments.
   PartitionedTable(Schema schema, uint64_t segment_capacity,
                    SegmentHooks* hooks,
                    std::span<const RecoveredSegment> recovered);
@@ -611,8 +622,9 @@ struct PartitionedMergeDaemonStats {
 /// partitioning is that each merge is bounded, not that merges overlap).
 /// Each poll refreshes the tail arrival-rate estimate and runs
 /// MergeDueSegments, which final-merges newly sealed segments and applies
-/// the §4/§9 trigger stack to the tail. Reuses the MergeDaemon policy brain
-/// (EvaluateMergeTrigger / ProjectedMergeSeconds).
+/// the §4/§9 trigger stack (EvaluateMergeTrigger, core/merge_daemon.h) to
+/// the tail. The only background merge driver: a monolithic table is a
+/// PartitionedTable at capacity UINT64_MAX, whose one segment is the tail.
 class PartitionedMergeDaemon {
  public:
   PartitionedMergeDaemon(PartitionedTable* table, MergeDaemonPolicy policy,
@@ -650,8 +662,7 @@ class PartitionedMergeDaemon {
   mutable Mutex stats_mu_;
   PartitionedMergeDaemonStats stats_ DM_GUARDED_BY(stats_mu_);
 
-  /// Tail arrival-rate estimate (watcher thread only; shared machinery
-  /// with MergeDaemon).
+  /// Tail arrival-rate estimate (watcher thread only).
   DeltaRateEstimator rate_;
 };
 

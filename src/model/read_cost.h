@@ -9,7 +9,7 @@
 //
 // The advisor finds the delta threshold N_D* that minimizes total cycles per
 // update for a given read/write ratio — turning §4's qualitative discussion
-// into the number the MergeTriggerPolicy needs.
+// into the delta_fraction a MergeDaemonPolicy needs.
 
 #pragma once
 
@@ -47,7 +47,7 @@ struct ReadWriteProfile {
 /// Result of the trade-off analysis.
 struct DeltaThreshold {
   uint64_t optimal_nd = 0;        ///< N_D* minimizing cycles per update
-  double fraction_of_main = 0;    ///< N_D* / N_M — the MergeTriggerPolicy knob
+  double fraction_of_main = 0;    ///< N_D* / N_M — the delta_fraction knob
   double cycles_per_update = 0;   ///< at the optimum
   double merge_cycles_per_update = 0;
   double read_tax_cycles_per_update = 0;

@@ -4,10 +4,11 @@
 // Composition, not inheritance: a DurableTable owns a plain Table plus the
 // durability machinery (WalWriter + DurabilityManager) wired into it via
 // the TableJournal hooks of core/durability_hooks.h. Everything else — the
-// write path, snapshot reads, the MergeDaemon — is used exactly as on an
-// in-memory table; a MergeDaemon pointed at table() transparently produces
-// checkpoints on every merge commit, because the commit hook rides inside
-// Table::Merge.
+// write path, snapshot reads, merges — is used exactly as on an in-memory
+// table; every Table::Merge of table() transparently produces a checkpoint
+// on commit, because the commit hook rides inside Table::Merge. (Each
+// segment of a DurablePartitionedTable is one DurableTable, so its
+// PartitionedMergeDaemon checkpoints the same way.)
 //
 // Directory layout (one directory per table):
 //
@@ -172,7 +173,7 @@ class DurableTable {
       DurableTableOptions options = {});
 
   /// Detaches the journal and flushes + syncs the WAL (clean shutdown).
-  /// Stop any MergeDaemon on table() first.
+  /// Stop any merge driver on table() first.
   ~DurableTable();
 
   DM_DISALLOW_COPY_AND_MOVE(DurableTable);

@@ -1,14 +1,13 @@
 // Copyright (c) 2026 The DeltaMerge Authors.
 // PollThread: the shared background poll-loop harness.
 //
-// Three subsystems poll a condition on a cadence and want identical
-// lifecycle semantics: MergeScheduler (the bare §4 trigger), MergeDaemon
-// (the §9 policies), and the WAL's interval-sync thread. Each needs the
-// same fiddly details — a Nudge that actually shortcuts the wait (a
-// predicate flag, not a bare notify), Pause/Resume without tearing the
-// thread down, and a Stop that tolerates concurrent stoppers racing the
-// destructor — so the harness lives here once (extracted from the two
-// hand-rolled copies of PR 2) and the poll body is a callback.
+// Two subsystems poll a condition on a cadence and want identical
+// lifecycle semantics: PartitionedMergeDaemon (the §4/§9 merge trigger)
+// and the WAL's interval-sync thread. Both need the same fiddly details —
+// a Nudge that actually shortcuts the wait (a predicate flag, not a bare
+// notify), Pause/Resume without tearing the thread down, and a Stop that
+// tolerates concurrent stoppers racing the destructor — so the harness
+// lives here once and the poll body is a callback.
 //
 // The body runs with no PollThread lock held, so it may freely call back
 // into Nudge()/paused() and block for as long as it likes (a merge body, an

@@ -60,9 +60,14 @@ std::string WorkloadReport::ToString() const {
   return out;
 }
 
-WorkloadReport RunMixedWorkload(Table* table, const QueryMix& mix,
-                                uint64_t num_ops,
-                                const WorkloadOptions& options) {
+namespace {
+
+/// Table and PartitionedTable expose the identical read/write surface the
+/// mix touches; one body keeps both runs op-for-op identical.
+template <typename TableT>
+WorkloadReport RunMixedWorkloadImpl(TableT* table, const QueryMix& mix,
+                                    uint64_t num_ops,
+                                    const WorkloadOptions& options) {
   DM_CHECK(table != nullptr);
   QueryStream stream(mix, options.seed);
   Rng rng(options.seed ^ 0xabcdef12345ULL);
@@ -113,7 +118,7 @@ WorkloadReport RunMixedWorkload(Table* table, const QueryMix& mix,
       case QueryType::kDelete: {
         const uint64_t rows = table->num_rows();
         if (rows == 0) break;
-        table->DeleteRow(rng.Below(rows));
+        (void)table->DeleteRow(rng.Below(rows));
         result = 1;
         break;
       }
@@ -128,6 +133,20 @@ WorkloadReport RunMixedWorkload(Table* table, const QueryMix& mix,
     report.checksum = report.checksum * 1099511628211ULL + result;
   }
   return report;
+}
+
+}  // namespace
+
+WorkloadReport RunMixedWorkload(Table* table, const QueryMix& mix,
+                                uint64_t num_ops,
+                                const WorkloadOptions& options) {
+  return RunMixedWorkloadImpl(table, mix, num_ops, options);
+}
+
+WorkloadReport RunMixedWorkload(PartitionedTable* table, const QueryMix& mix,
+                                uint64_t num_ops,
+                                const WorkloadOptions& options) {
+  return RunMixedWorkloadImpl(table, mix, num_ops, options);
 }
 
 // ---------------------------------------------------------------------------
@@ -395,7 +414,7 @@ WriteScheduleReport RunPartitionedWriteSchedule(
 }
 
 ConcurrentWorkloadReport RunConcurrentReadWriteMerge(
-    Table* table, MergeDaemon* daemon,
+    PartitionedTable* table, PartitionedMergeDaemon* daemon,
     const ConcurrentWorkloadOptions& options) {
   DM_CHECK(table != nullptr);
   ConcurrentWorkloadReport report;
@@ -425,7 +444,7 @@ ConcurrentWorkloadReport RunConcurrentReadWriteMerge(
       auto& during = merge_samples[static_cast<size_t>(r)];
       uint64_t local_checksum = 0;
       while (!stop.load(std::memory_order_acquire)) {
-        Snapshot snap = table->CreateSnapshot();
+        const PartitionedSnapshot snap = table->CreateSnapshot();
         total_snapshots.fetch_add(1, std::memory_order_relaxed);
         for (int q = 0; q < options.reads_per_snapshot; ++q) {
           const size_t col = static_cast<size_t>(rng.Below(nc));
@@ -461,7 +480,7 @@ ConcurrentWorkloadReport RunConcurrentReadWriteMerge(
   // The writer runs on the calling thread: inserts modelling new business
   // objects, insert-only updates, and deletes (§2's write mix, write-only
   // legs). Reads are the readers' job.
-  MergeDaemonStats daemon_before;
+  PartitionedMergeDaemonStats daemon_before;
   if (daemon != nullptr) {
     daemon_before = daemon->stats();
     daemon->Start();  // no-op if the caller already started it
@@ -504,8 +523,9 @@ ConcurrentWorkloadReport RunConcurrentReadWriteMerge(
   report.reads_during_merge = report.reader_during_merge.samples;
   report.checksum = checksum.load();
   if (daemon != nullptr) {
-    const MergeDaemonStats after = daemon->stats();
-    report.merges_completed = after.merges - daemon_before.merges;
+    const PartitionedMergeDaemonStats after = daemon->stats();
+    report.merges_completed =
+        after.segments_merged - daemon_before.segments_merged;
     report.rows_merged = after.rows_merged - daemon_before.rows_merged;
   }
   return report;

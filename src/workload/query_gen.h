@@ -5,9 +5,10 @@
 // operations on large sets of data").
 //
 // A QueryStream samples query types from a QueryMix (Figure 1); the executor
-// turns each type into a concrete operation against a Table: key lookups and
-// range selects on random columns, full-column aggregation scans, inserts of
-// fresh rows, insert-only updates of random valid rows, and deletes.
+// turns each type into a concrete operation against a Table or a
+// PartitionedTable: key lookups and range selects on random columns,
+// full-column aggregation scans, inserts of fresh rows, insert-only updates
+// of random valid rows, and deletes.
 
 #pragma once
 
@@ -18,13 +19,14 @@
 #include <string>
 #include <vector>
 
-#include "core/merge_daemon.h"
 #include "core/table.h"
 #include "util/random.h"
 #include "workload/enterprise_stats.h"
 
 namespace deltamerge {
-class PartitionedTable;  // core/partitioned_table.h (pointer-only here)
+// core/partitioned_table.h (pointer-only here)
+class PartitionedTable;
+class PartitionedMergeDaemon;
 }
 
 namespace deltamerge {
@@ -67,6 +69,9 @@ struct WorkloadOptions {
 
 /// Runs `num_ops` operations of the given mix against the table.
 WorkloadReport RunMixedWorkload(Table* table, const QueryMix& mix,
+                                uint64_t num_ops,
+                                const WorkloadOptions& options);
+WorkloadReport RunMixedWorkload(PartitionedTable* table, const QueryMix& mix,
                                 uint64_t num_ops,
                                 const WorkloadOptions& options);
 
@@ -122,7 +127,7 @@ struct ConcurrentWorkloadReport {
 /// started/nudged by the driver but not stopped. Returns throughput and
 /// reader latency split into all reads vs. reads overlapping a merge.
 ConcurrentWorkloadReport RunConcurrentReadWriteMerge(
-    Table* table, MergeDaemon* daemon,
+    PartitionedTable* table, PartitionedMergeDaemon* daemon,
     const ConcurrentWorkloadOptions& options);
 
 // ---------------------------------------------------------------------------

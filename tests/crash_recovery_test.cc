@@ -43,6 +43,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -396,7 +397,12 @@ INSTANTIATE_TEST_SUITE_P(
                       // cross-segment transaction's tail half — the model
                       // must agree run-for-run.
                       PartTruncateParam{8808, 600, 96, 150, 0, 5},
-                      PartTruncateParam{8909, 900, 128, 200, 32, 4}));
+                      PartTruncateParam{8909, 900, 128, 200, 32, 4},
+                      // Unbounded: the monolithic shape, one segment that
+                      // never seals (its manifest round-trips UINT64_MAX).
+                      PartTruncateParam{9010, 900,
+                                        std::numeric_limits<uint64_t>::max(),
+                                        200, 32, 4}));
 
 TEST(PartitionedCrashRollover, EmptiedFreshTailRecoversToSealedBoundary) {
   // The rollover-straddling crash: the manifest already lists the fresh

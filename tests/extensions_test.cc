@@ -1,15 +1,11 @@
 // Copyright (c) 2026 The DeltaMerge Authors.
 // Tests for the §9 future-work extensions: the unsorted (append-only) delta
 // structure, the read-cost model + delta-size advisor, merge throttling,
-// scheduler pause/resume, and the horizontally partitioned table.
+// and the horizontally partitioned table.
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <thread>
-
 #include "core/merge_algorithms.h"
-#include "core/merge_scheduler.h"
 #include "core/partitioned_table.h"
 #include "model/read_cost.h"
 #include "storage/unsorted_delta.h"
@@ -184,38 +180,6 @@ TEST(Throttle, ThrottledMergeIsSlowerButCorrect) {
   for (uint64_t row = 0; row < 2400; row += 97) {
     EXPECT_EQ(slow_table->GetKey(0, row), fast_table->GetKey(0, row));
   }
-}
-
-// --- scheduler pause/resume --------------------------------------------------
-
-TEST(SchedulerPause, PausedSchedulerDoesNotMerge) {
-  auto table = BuildTable(
-      10000, 0, std::vector<ColumnBuildSpec>(2, ColumnBuildSpec{}), 82);
-  MergeTriggerPolicy policy;
-  policy.delta_fraction = 0.0;
-  policy.min_delta_rows = 1;
-  MergeScheduler scheduler(table.get(), policy, TableMergeOptions{});
-  scheduler.Pause();
-  EXPECT_TRUE(scheduler.paused());
-  scheduler.Start();
-
-  std::vector<uint64_t> row{1, 2};
-  for (int i = 0; i < 100; ++i) table->InsertRow(row);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(scheduler.merges_completed(), 0u);
-  EXPECT_EQ(table->delta_rows(), 100u);
-
-  // Resume: the pending trigger fires.
-  scheduler.Resume();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (scheduler.merges_completed() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-  scheduler.Stop();
-  EXPECT_GE(scheduler.merges_completed(), 1u);
-  EXPECT_EQ(table->delta_rows(), 0u);
 }
 
 // --- PartitionedTable ---------------------------------------------------------

@@ -8,11 +8,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <thread>
 #include <vector>
 
-#include "core/merge_scheduler.h"
+#include "core/partitioned_table.h"
 #include "core/table.h"
 #include "workload/query_gen.h"
 #include "workload/table_builder.h"
@@ -134,13 +135,18 @@ TEST(Integration, BackgroundSchedulerUnderInsertStorm) {
   auto table = BuildTable(
       50000, 0, std::vector<ColumnBuildSpec>(3, ColumnBuildSpec{8, 0.2, 0.2}),
       4004);
-  MergeTriggerPolicy policy;
+  // Adopt the prebuilt table as the one unbounded segment.
+  const PartitionedTable::RecoveredSegment adopted{table.get(), false};
+  PartitionedTable part(table->schema(), std::numeric_limits<uint64_t>::max(),
+                        nullptr, {&adopted, 1});
+  MergeDaemonPolicy policy;  // fill-only: the bare §4 trigger
   policy.delta_fraction = 0.005;
   policy.min_delta_rows = 64;
+  policy.rate_lookahead = false;
   TableMergeOptions options;
   options.num_threads = 2;
-  MergeScheduler scheduler(table.get(), policy, options);
-  scheduler.Start();
+  PartitionedMergeDaemon daemon(&part, policy, options);
+  daemon.Start();
 
   Rng rng(5);
   std::vector<uint64_t> row(3);
@@ -150,13 +156,13 @@ TEST(Integration, BackgroundSchedulerUnderInsertStorm) {
     row[1] = rng.Below(100);
     row[2] = rng.Next() >> 32;
     checksum += row[0];
-    table->InsertRow(row);
+    part.InsertRow(row);
   }
-  scheduler.Stop();
+  daemon.Stop();
 
-  EXPECT_EQ(table->num_rows(), 55000u);
+  EXPECT_EQ(part.num_rows(), 55000u);
   // Nothing lost, nothing duplicated: recompute column 0's inserted sum.
-  const uint64_t main_plus_delta_sum = table->SumColumn(0);
+  const uint64_t main_plus_delta_sum = part.SumColumn(0);
   // Subtract the builder-generated base rows' contribution.
   auto base = BuildTable(
       50000, 0, std::vector<ColumnBuildSpec>(3, ColumnBuildSpec{8, 0.2, 0.2}),

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1094,32 +1095,37 @@ TEST(DurableTableTest, RowAndBatchLoggingRecoverIdenticalTables) {
 }
 
 TEST(DurableTableTest, DaemonMergesProduceCheckpoints) {
-  // The autonomous path: a MergeDaemon on a durable table checkpoints on
-  // every commit without any explicit persistence calls.
+  // The autonomous path: the merge daemon on a durable table checkpoints on
+  // every commit without any explicit persistence calls. Unbounded
+  // capacity keeps the table one durable segment that never seals.
   ScratchDir dir("dtdaemon");
   DurableTableOptions options;
   options.wal.policy = WalSyncPolicy::kNone;  // speed; durability not probed
-  auto opened = DurableTable::Open(dir.path(), TestSchema(), options);
+  auto opened = persist::DurablePartitionedTable::Open(
+      dir.path(), TestSchema(), std::numeric_limits<uint64_t>::max(),
+      options);
   ASSERT_TRUE(opened.ok());
-  auto& dt = *opened.ValueOrDie();
+  auto& dpt = *opened.ValueOrDie();
 
   MergeDaemonPolicy policy;
   policy.delta_fraction = 0.01;
   policy.min_delta_rows = 256;
   policy.poll_interval_us = 200;
-  MergeDaemon daemon(&dt.table(), policy, TableMergeOptions{});
+  PartitionedMergeDaemon daemon(&dpt.table(), policy, TableMergeOptions{});
   daemon.Start();
   for (uint64_t i = 0; i < 5000; ++i) {
-    dt.table().InsertRow({i, i, i});
+    dpt.table().InsertRow({i, i, i});
   }
   daemon.Nudge();
-  for (int i = 0; i < 5000 && dt.durability().checkpoints_written() == 0;
-       ++i) {
+  const persist::DurabilityManager& durability =
+      dpt.durable_segment(0).durability();
+  for (int i = 0; i < 5000 && durability.checkpoints_written() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   daemon.Stop();
-  EXPECT_GE(dt.durability().checkpoints_written(), 1u);
-  EXPECT_EQ(dt.durability().checkpoint_failures(), 0u);
+  ASSERT_EQ(dpt.num_durable_segments(), 1u);
+  EXPECT_GE(durability.checkpoints_written(), 1u);
+  EXPECT_EQ(durability.checkpoint_failures(), 0u);
 }
 
 TEST(DurableTableTest, CompactionCheckpointTruncatesTombstoneTail) {

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "util/file_io.h"
 #include "util/random.h"
 #include "workload/query_gen.h"
+#include "workload/table_builder.h"
 
 namespace deltamerge {
 namespace {
@@ -118,7 +120,11 @@ INSTANTIATE_TEST_SUITE_P(
                       DifferentialParam{902, 3000, 64, 0, 250},
                       DifferentialParam{903, 3000, 257, 32, 400},
                       DifferentialParam{904, 2000, 33, 128, 150},
-                      DifferentialParam{905, 1500, 1500, 16, 300}));
+                      DifferentialParam{905, 1500, 1500, 16, 300},
+                      // Unbounded: the monolithic shape never rolls over.
+                      DifferentialParam{906, 3000,
+                                        std::numeric_limits<uint64_t>::max(),
+                                        32, 400}));
 
 // --- routing units -----------------------------------------------------------
 
@@ -535,6 +541,7 @@ TEST(PartitionedMergeDaemon, PausedDaemonDoesNotMerge) {
   policy.poll_interval_us = 200;
   PartitionedMergeDaemon daemon(&t, policy, TableMergeOptions{});
   daemon.Pause();
+  EXPECT_TRUE(daemon.paused());
   daemon.Start();
   for (int i = 0; i < 100; ++i) t.InsertRow({7});
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -549,6 +556,49 @@ TEST(PartitionedMergeDaemon, PausedDaemonDoesNotMerge) {
   }
   daemon.Stop();
   EXPECT_EQ(t.delta_rows(), 0u);
+}
+
+TEST(PartitionedMergeDaemon, BackgroundMergeKeepsDeltaBounded) {
+  auto base = BuildTable(5000, 0,
+                         std::vector<ColumnBuildSpec>(2, ColumnBuildSpec{}), 4);
+  // Adopt the prebuilt table as the one unbounded segment.
+  const PartitionedTable::RecoveredSegment adopted{base.get(), false};
+  PartitionedTable t(base->schema(), std::numeric_limits<uint64_t>::max(),
+                     nullptr, {&adopted, 1});
+  MergeDaemonPolicy policy;  // fill-only: the bare §4 trigger
+  policy.delta_fraction = 0.01;  // merge every ~50 rows
+  policy.min_delta_rows = 16;
+  policy.rate_lookahead = false;
+  PartitionedMergeDaemon daemon(&t, policy, TableMergeOptions{});
+  daemon.Start();
+
+  Rng rng(5);
+  std::vector<uint64_t> row(2);
+  for (int i = 0; i < 2000; ++i) {
+    row[0] = rng.Below(100);
+    row[1] = rng.Next();
+    t.InsertRow(row);
+  }
+  // The trigger stays armed after the insert storm (2000 >> 1% of main), so
+  // the poller must fire at least once; give it bounded time on loaded or
+  // single-core machines before stopping.
+  daemon.Nudge();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (daemon.stats().segments_merged == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  daemon.Stop();
+
+  const PartitionedMergeDaemonStats stats = daemon.stats();
+  EXPECT_GE(stats.segments_merged, 1u);
+  // Data conserved: everything inserted is in the table.
+  ASSERT_EQ(t.num_segments(), 1u);
+  EXPECT_EQ(t.num_rows(), 7000u);
+  const ColumnBase& col = t.segment(0).column(0);
+  EXPECT_EQ(col.main_size() + col.delta_size() + col.frozen_size(), 7000u);
+  EXPECT_EQ(stats.rows_merged + t.delta_rows(), 2000u);
 }
 
 // --- DurablePartitionedTable: clean paths ------------------------------------

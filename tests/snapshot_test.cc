@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -17,11 +18,13 @@
 #include <vector>
 
 #include "core/merge_daemon.h"
+#include "core/partitioned_table.h"
 #include "core/snapshot.h"
 #include "core/table.h"
 #include "reference_model.h"
 #include "storage/validity.h"
 #include "util/random.h"
+#include "workload/table_builder.h"
 
 namespace deltamerge {
 namespace {
@@ -299,7 +302,9 @@ TEST(Snapshot, CapturedMidMergeSeesFrozenPlusActive) {
 }
 
 TEST(Snapshot, DaemonMergeCannotDisturbAPinnedSnapshot) {
-  Table t(ThreeColumnSchema());
+  // Unbounded capacity: the daemon merges the one segment in place.
+  PartitionedTable t(ThreeColumnSchema(),
+                     std::numeric_limits<uint64_t>::max());
   ReferenceModel ref({8, 4, 16});
   Rng rng(7);
   std::vector<uint64_t> keys(3);
@@ -309,7 +314,7 @@ TEST(Snapshot, DaemonMergeCannotDisturbAPinnedSnapshot) {
     ref.Insert(keys);
   }
 
-  Snapshot snap = t.CreateSnapshot();
+  PartitionedSnapshot snap = t.CreateSnapshot();
   const ReferenceModel at_capture = ref;
 
   MergeDaemonPolicy policy;
@@ -317,14 +322,14 @@ TEST(Snapshot, DaemonMergeCannotDisturbAPinnedSnapshot) {
   policy.poll_interval_us = 200;
   TableMergeOptions options;
   options.num_threads = 2;
-  MergeDaemon daemon(&t, policy, options);
+  PartitionedMergeDaemon daemon(&t, policy, options);
   daemon.Start();
   // 2000 delta rows >= min_delta_rows -> the first poll fires.
   daemon.Nudge();
-  for (int i = 0; i < 5000 && daemon.stats().merges == 0; ++i) {
+  for (int i = 0; i < 5000 && daemon.stats().segments_merged == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_GE(daemon.stats().merges, 1u) << "daemon never merged";
+  ASSERT_GE(daemon.stats().segments_merged, 1u) << "daemon never merged";
 
   // More writes after the merge, then check the snapshot against the model
   // copy taken at capture.
@@ -343,12 +348,47 @@ TEST(Snapshot, DaemonMergeCannotDisturbAPinnedSnapshot) {
   }
   EXPECT_EQ(snap.SumColumn(2), at_capture.Sum(2));
   snap.Release();
-  EXPECT_EQ(t.epoch_manager().retired_count(), 0u);
+  ASSERT_EQ(t.num_segments(), 1u);
+  EXPECT_EQ(t.segment(0).epoch_manager().retired_count(), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// MergeDaemon trigger policy
+// Merge trigger policy
 // ---------------------------------------------------------------------------
+
+// The fill-only policy (no rate lookahead, no cost budget) is the bare §4
+// trigger: N_D >= min_delta_rows && N_D > delta_fraction * N_M.
+TEST(MergeDaemonPolicyTest, TriggerPolicyThreshold) {
+  auto t = BuildTable(10000, 0,
+                      std::vector<ColumnBuildSpec>(2, ColumnBuildSpec{}), 3);
+  MergeDaemonPolicy policy;
+  policy.delta_fraction = 0.01;
+  policy.min_delta_rows = 10;
+  policy.rate_lookahead = false;
+  EXPECT_EQ(EvaluateMergeTrigger(*t, policy, 1, 0.0), MergeTrigger::kNone);
+
+  std::vector<uint64_t> row{1, 2};
+  for (int i = 0; i < 99; ++i) t->InsertRow(row);
+  // 99 < 1% of 10000 (+1 short)
+  EXPECT_EQ(EvaluateMergeTrigger(*t, policy, 1, 0.0), MergeTrigger::kNone);
+  for (int i = 0; i < 2; ++i) t->InsertRow(row);
+  // 101 > 100
+  EXPECT_EQ(EvaluateMergeTrigger(*t, policy, 1, 0.0),
+            MergeTrigger::kDeltaSize);
+}
+
+TEST(MergeDaemonPolicyTest, MinDeltaRowsFloor) {
+  Table t(Schema::Uniform(1, 8));  // empty main: fraction trigger trivially on
+  MergeDaemonPolicy policy;
+  policy.min_delta_rows = 50;
+  policy.rate_lookahead = false;
+  std::vector<uint64_t> row{1};
+  for (int i = 0; i < 49; ++i) t.InsertRow(row);
+  EXPECT_EQ(EvaluateMergeTrigger(t, policy, 1, 0.0), MergeTrigger::kNone);
+  t.InsertRow(row);
+  EXPECT_EQ(EvaluateMergeTrigger(t, policy, 1, 0.0),
+            MergeTrigger::kDeltaSize);
+}
 
 TEST(MergeDaemonPolicyTest, TriggersInPriorityOrder) {
   Table t(ThreeColumnSchema());
@@ -380,7 +420,8 @@ TEST(MergeDaemonPolicyTest, TriggersInPriorityOrder) {
 
   // ...unless the cost model projects the merge to exceed the budget.
   policy.max_projected_merge_seconds = 1e-12;
-  EXPECT_GT(ProjectedMergeSeconds(t, policy.profile, 1), 0.0);
+  EXPECT_GT(ProjectedMergeSeconds(t.column_shapes(), policy.profile, 1),
+            0.0);
   EXPECT_EQ(EvaluateMergeTrigger(t, policy, 1, 0.0),
             MergeTrigger::kCostBudget);
 }

@@ -1,16 +1,14 @@
 // Copyright (c) 2026 The DeltaMerge Authors.
 // Tests for Table: the insert-only write path, validity semantics, the
-// three-phase online merge protocol, concurrent inserts during a merge, the
-// merge scheduler's trigger policy, and the read path's bounds checks.
+// three-phase online merge protocol, concurrent inserts during a merge, and
+// the read path's bounds checks.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <thread>
 #include <vector>
 
-#include "core/merge_scheduler.h"
 #include "core/partitioned_table.h"
 #include "core/table.h"
 #include "workload/table_builder.h"
@@ -225,7 +223,7 @@ TEST(Table, RepeatedMergesConverge) {
   EXPECT_LE(t.column(0).main_unique(), 50u);
 }
 
-// --- MergeScheduler ---------------------------------------------------------
+// --- read bounds -------------------------------------------------------------
 
 // Out-of-range column and row ids abort in every build type instead of
 // reading past a column vector or a delta's value array. (Suite name kept
@@ -267,70 +265,6 @@ TEST(ReadBoundsDeathTest, PartitionedRowIndex) {
   EXPECT_DEATH(t.GetKey(0, 6), "row id beyond table size");
   EXPECT_DEATH(t.GetKey(0, 8), "global row id beyond table size");
   EXPECT_DEATH(t.GetKey(4, 0), "column index out of range");
-}
-
-TEST(MergeScheduler, TriggerPolicyThreshold) {
-  auto t = BuildTable(10000, 0,
-                      std::vector<ColumnBuildSpec>(2, ColumnBuildSpec{}), 3);
-  MergeTriggerPolicy policy;
-  policy.delta_fraction = 0.01;
-  policy.min_delta_rows = 10;
-  EXPECT_FALSE(ShouldMerge(*t, policy));
-
-  std::vector<uint64_t> row{1, 2};
-  for (int i = 0; i < 99; ++i) t->InsertRow(row);
-  EXPECT_FALSE(ShouldMerge(*t, policy));  // 99 < 1% of 10000 (+1 short)
-  for (int i = 0; i < 2; ++i) t->InsertRow(row);
-  EXPECT_TRUE(ShouldMerge(*t, policy));  // 101 > 100
-}
-
-TEST(MergeScheduler, MinDeltaRowsFloor) {
-  Table t(Schema::Uniform(1, 8));  // empty main: fraction trigger trivially on
-  MergeTriggerPolicy policy;
-  policy.min_delta_rows = 50;
-  std::vector<uint64_t> row{1};
-  for (int i = 0; i < 49; ++i) t.InsertRow(row);
-  EXPECT_FALSE(ShouldMerge(t, policy));
-  t.InsertRow(row);
-  EXPECT_TRUE(ShouldMerge(t, policy));
-}
-
-TEST(MergeScheduler, BackgroundMergeKeepsDeltaBounded) {
-  auto t = BuildTable(5000, 0,
-                      std::vector<ColumnBuildSpec>(2, ColumnBuildSpec{}), 4);
-  MergeTriggerPolicy policy;
-  policy.delta_fraction = 0.01;  // merge every ~50 rows
-  policy.min_delta_rows = 16;
-  TableMergeOptions options;
-  MergeScheduler scheduler(t.get(), policy, options);
-  scheduler.Start();
-
-  Rng rng(5);
-  std::vector<uint64_t> row(2);
-  for (int i = 0; i < 2000; ++i) {
-    row[0] = rng.Below(100);
-    row[1] = rng.Next();
-    t->InsertRow(row);
-  }
-  // The trigger stays armed after the insert storm (2000 >> 1% of main), so
-  // the poller must fire at least once; give it bounded time on loaded or
-  // single-core machines before stopping.
-  scheduler.Nudge();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (scheduler.merges_completed() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-  scheduler.Stop();
-
-  EXPECT_GE(scheduler.merges_completed(), 1u);
-  // Data conserved: everything inserted is in the table.
-  EXPECT_EQ(t->num_rows(), 7000u);
-  EXPECT_EQ(t->column(0).main_size() + t->column(0).delta_size() +
-                t->column(0).frozen_size(),
-            7000u);
-  EXPECT_EQ(scheduler.rows_merged() + t->delta_rows(), 2000u);
 }
 
 }  // namespace

@@ -10,19 +10,20 @@
 //     schedule on one thread, cross-checked after every merge;
 //   * the online interleaving (OnlineMergeTorture): N reader threads pin
 //     snapshots and verify them against model copies WHILE a single writer
-//     mutates and the MergeDaemon merges — the read-while-merge path under
-//     real concurrency, run under TSan in CI.
+//     mutates and the PartitionedMergeDaemon merges an unbounded (one
+//     segment) table — the read-while-merge path under real concurrency,
+//     run under TSan in CI.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "core/merge_daemon.h"
-#include "core/merge_scheduler.h"
+#include "core/partitioned_table.h"
 #include "core/table.h"
 #include "reference_model.h"
 #include "util/random.h"
@@ -127,7 +128,7 @@ INSTANTIATE_TEST_SUITE_P(
         TortureParam{6, 1500, 7, 0.03, 2}));     // near-constant columns
 
 // ---------------------------------------------------------------------------
-// Online interleaving: readers + writer + MergeDaemon, differentially
+// Online interleaving: readers + writer + merge daemon, differentially
 // checked. The single writer applies every mutation to the table AND the
 // reference model under `model_mu`; a reader captures (snapshot, expected
 // answers) atomically under the same mutex, then verifies WITHOUT the lock
@@ -145,7 +146,9 @@ TEST(OnlineMergeTorture, ReadersScanWhileWriterAndDaemonRun) {
 
   Schema schema;
   schema.columns = {{8, "a"}, {4, "b"}, {16, "c"}};
-  Table table(schema);
+  // Unbounded capacity: one segment that never seals, so every merge folds
+  // the whole delta into the whole main.
+  PartitionedTable table(schema, std::numeric_limits<uint64_t>::max());
   ReferenceModel ref({8, 4, 16});
   std::mutex model_mu;  // serializes writer mutations w/ reader captures
 
@@ -157,7 +160,7 @@ TEST(OnlineMergeTorture, ReadersScanWhileWriterAndDaemonRun) {
   merge_options.num_threads = 2;
   // Stretch each merge so reads demonstrably overlap the merge body.
   merge_options.inter_column_delay_us = 300;
-  MergeDaemon daemon(&table, policy, merge_options);
+  PartitionedMergeDaemon daemon(&table, policy, merge_options);
   daemon.Start();
 
   std::atomic<bool> stop{false};
@@ -173,7 +176,7 @@ TEST(OnlineMergeTorture, ReadersScanWhileWriterAndDaemonRun) {
       while (!stop.load(std::memory_order_acquire)) {
         // Capture a snapshot and its expected answers atomically with
         // respect to the writer.
-        Snapshot snap;
+        PartitionedSnapshot snap;
         uint64_t want_rows, want_valid, probe, want_eq = 0, want_sum = 0;
         uint64_t check_row = 0, want_key = 0;
         bool want_row_valid = false, deep = false;
@@ -243,7 +246,7 @@ TEST(OnlineMergeTorture, ReadersScanWhileWriterAndDaemonRun) {
       }
     }
     if (op >= kMinWriterOps && (op & 63) == 0 &&
-        daemon.stats().merges >= kWantMerges &&
+        daemon.stats().segments_merged >= kWantMerges &&
         overlapped_reads.load() >= kWantOverlapped) {
       break;
     }
@@ -253,9 +256,9 @@ TEST(OnlineMergeTorture, ReadersScanWhileWriterAndDaemonRun) {
   for (auto& t : readers) t.join();
   daemon.Stop();
 
-  const MergeDaemonStats stats = daemon.stats();
-  EXPECT_GE(stats.merges, kWantMerges) << "daemon barely merged in " << op
-                                       << " writer ops";
+  const PartitionedMergeDaemonStats stats = daemon.stats();
+  EXPECT_GE(stats.segments_merged, kWantMerges)
+      << "daemon barely merged in " << op << " writer ops";
   EXPECT_GE(overlapped_reads.load(), 1u)
       << "no snapshot read ever overlapped a merge body";
   EXPECT_GE(snapshot_checks.load(), 100u);
@@ -269,10 +272,12 @@ TEST(OnlineMergeTorture, ReadersScanWhileWriterAndDaemonRun) {
     }
     ASSERT_EQ(table.IsRowValid(row), ref.IsValid(row)) << "row " << row;
   }
+  ASSERT_EQ(table.num_segments(), 1u);
   // Readers drained their epochs: no generation may remain retired.
-  EXPECT_EQ(table.epoch_manager().pinned_count(), 0u);
-  table.epoch_manager().ReclaimExpired();
-  EXPECT_EQ(table.epoch_manager().retired_count(), 0u);
+  EpochManager& epochs = table.segment(0).epoch_manager();
+  EXPECT_EQ(epochs.pinned_count(), 0u);
+  epochs.ReclaimExpired();
+  EXPECT_EQ(epochs.retired_count(), 0u);
 }
 
 }  // namespace
