@@ -15,8 +15,9 @@
 //   DM_COLUMNS  how many real columns to measure per configuration
 //               (default 1; results are normalized per column).
 //   DM_JSON     path of a JSON-lines file to append machine-readable
-//               results to (one object per measured configuration); used by
-//               CI to record the benchmark trajectory (BENCH_pr<N>.json).
+//               results to (one object per measured configuration, each
+//               tagged with the host's nproc and TSC GHz); used by CI to
+//               record the benchmark trajectory (BENCH_pr<N>.json).
 
 #pragma once
 
@@ -166,13 +167,17 @@ inline void PrintHeader(const char* title, const BenchConfig& cfg) {
 
 /// Appends one JSON object line to the file named by DM_JSON (no-op when
 /// the variable is unset). The caller passes the object's body without the
-/// surrounding braces, e.g. `"\"bench\":\"x\",\"ups\":123.4"`.
+/// surrounding braces, e.g. `"\"bench\":\"x\",\"ups\":123.4"`. Every row
+/// starts with the host it ran on: "nproc" (hardware threads) and
+/// "tsc_ghz" (the cycle clock's frequency).
 inline void AppendJsonResult(const std::string& fields) {
   const char* path = std::getenv("DM_JSON");
   if (path == nullptr || *path == '\0') return;
   FILE* f = std::fopen(path, "a");
   if (f == nullptr) return;
-  std::fprintf(f, "{%s}\n", fields.c_str());
+  std::fprintf(f, "{\"nproc\":%u,\"tsc_ghz\":%.2f,%s}\n",
+               std::thread::hardware_concurrency(),
+               CycleClock::FrequencyHz() / 1e9, fields.c_str());
   std::fclose(f);
 }
 

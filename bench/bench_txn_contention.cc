@@ -3,11 +3,12 @@
 // multi-row transactions, in three modes selected by DM_MODE (default:
 // all three, in order):
 //
-//   hot       Single Table. Writers fight over a small hot window of the
-//             newest rows: observe valid (readset entry), update the first
-//             two still-valid probes, blind-insert one row. Every
-//             collision is decided by readset validation under the commit
-//             lock — first updater wins, the loser aborts.
+//   hot       PartitionedTable with one unbounded segment (the monolithic
+//             shape). Writers fight over a small hot window of the newest
+//             rows: observe valid (readset entry), update the first two
+//             still-valid probes, blind-insert one row. Every collision is
+//             decided by readset validation under the commit lock — first
+//             updater wins, the loser aborts.
 //   disjoint  PartitionedTable, one pre-sealed segment per writer. Each
 //             transaction claims (reads-valid then deletes) two rows of
 //             its own segment — a sealed-only, single-segment commit that
@@ -32,13 +33,13 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/partitioned_table.h"
-#include "core/table.h"
 #include "util/random.h"
 
 namespace deltamerge::bench {
@@ -87,7 +88,7 @@ ContentionResult RunConfig(const BenchConfig& cfg, int writers,
                            uint64_t total_txns, uint64_t hot_window) {
   Schema schema;
   schema.columns = {{8, "a"}, {8, "b"}, {8, "c"}};
-  Table table(schema);
+  PartitionedTable table(schema, std::numeric_limits<uint64_t>::max());
 
   const uint64_t preload = cfg.Scaled(kPaperPreloadRows);
   {

@@ -6,17 +6,19 @@
 // This bench runs the same deterministic insert/update/delete schedule
 // (the 55/30/15 mix of the concurrent driver) against:
 //
-//   memory        a plain Table, no journal — the PR 2 baseline;
+//   memory        a PartitionedTable, no journal — the PR 2 baseline;
 //   sync=none     WAL buffered to the OS only (crash loses the tail);
 //   sync=interval WAL fsynced by a background thread every 1 ms
 //                 (bounded loss window);
 //   sync=commit   group-committed fdatasync before each op acknowledges —
 //                 the full "no acknowledged write is ever lost" contract.
 //
-// A foreground merge runs every `ops/8` operations, so the durable modes
+// Every mode runs the monolithic shape: one segment of unbounded capacity,
+// durable through a DurablePartitionedTable in the sync modes. A
+// foreground merge runs every `ops/8` operations, so the durable modes
 // also pay (and amortize) real checkpoint writes + WAL truncation. Reported
 // per mode: sustained updates/s, fsyncs issued, checkpoints written, and
-// bytes left in the WAL directory at the end.
+// bytes left in the table directory at the end.
 //
 // Knobs: DM_SCALE / DM_THREADS / DM_JSON (bench_common.h); DM_WAL_DIR to
 // put the table directory somewhere other than ./ (e.g. a real disk
@@ -24,11 +26,12 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "bench_common.h"
-#include "core/table.h"
-#include "persist/durable_table.h"
+#include "core/partitioned_table.h"
+#include "persist/durable_partitioned_table.h"
 #include "util/cycle_clock.h"
 #include "util/file_io.h"
 #include "workload/query_gen.h"
@@ -39,6 +42,7 @@ namespace {
 constexpr uint64_t kPaperWriterOps = 1'000'000;
 constexpr uint64_t kKeyDomain = 1 << 20;
 constexpr size_t kColumns = 4;
+constexpr uint64_t kUnbounded = std::numeric_limits<uint64_t>::max();
 
 struct ModeResult {
   double updates_per_second = 0;
@@ -47,12 +51,18 @@ struct ModeResult {
   uint64_t dir_bytes = 0;
 };
 
+/// Bytes of every file under `dir`, segment subdirectories included.
 uint64_t DirBytes(const std::string& dir) {
   auto names = ListDir(dir);
   if (!names.ok()) return 0;
   uint64_t total = 0;
   for (const auto& name : names.ValueOrDie()) {
-    auto sz = FileSize(dir + "/" + name);
+    const std::string path = dir + "/" + name;
+    if (ListDir(path).ok()) {
+      total += DirBytes(path);
+      continue;
+    }
+    auto sz = FileSize(path);
     if (sz.ok()) total += sz.ValueOrDie();
   }
   return total;
@@ -76,7 +86,7 @@ ModeResult RunMode(const BenchConfig& cfg, const std::vector<WriteOp>& ops,
 
   ModeResult out;
   if (policy == nullptr) {
-    Table table(MakeSchema());
+    PartitionedTable table(MakeSchema(), kUnbounded);
     const WriteScheduleReport r = RunWriteSchedule(&table, ops, schedule);
     out.updates_per_second = r.updates_per_second();
   } else {
@@ -90,7 +100,8 @@ ModeResult RunMode(const BenchConfig& cfg, const std::vector<WriteOp>& ops,
       persist::DurableTableOptions options;
       options.wal.policy = *policy;
       options.wal.interval_us = 1000;
-      auto opened = persist::DurableTable::Open(dir, MakeSchema(), options);
+      auto opened = persist::DurablePartitionedTable::Open(
+          dir, MakeSchema(), kUnbounded, options);
       if (!opened.ok()) {
         std::fprintf(stderr, "open failed: %s\n",
                      opened.status().ToString().c_str());
@@ -100,8 +111,9 @@ ModeResult RunMode(const BenchConfig& cfg, const std::vector<WriteOp>& ops,
       const WriteScheduleReport r =
           RunWriteSchedule(&table->table(), ops, schedule);
       out.updates_per_second = r.updates_per_second();
-      out.syncs = table->wal().sync_count();
-      out.checkpoints = table->durability().checkpoints_written();
+      const persist::DurableTable& segment = table->durable_segment(0);
+      out.syncs = segment.wal().sync_count();
+      out.checkpoints = segment.durability().checkpoints_written();
       out.dir_bytes = DirBytes(dir);
     }
     (void)RemoveDirAll(dir);

@@ -1,7 +1,8 @@
 // Copyright (c) 2026 The DeltaMerge Authors.
 // Durable store: crash-safe writes with the WAL + checkpoint subsystem.
 //
-//   1. open (create) a durable table in a directory
+//   1. open (create) a durable table in a directory — one segment of
+//      unbounded capacity, the monolithic shape of the partitioned store
 //   2. write with sync=every-commit — each op is on disk before it returns
 //   3. merge: the commit doubles as a checkpoint; the WAL truncates
 //   4. "crash" (drop the handle without cleanup), reopen, and observe
@@ -13,11 +14,12 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "deltamerge.h"
 
 using namespace deltamerge;
-using persist::DurableTable;
+using persist::DurablePartitionedTable;
 using persist::DurableTableOptions;
 using persist::WalSyncPolicy;
 
@@ -43,20 +45,22 @@ int main() {
 
   DurableTableOptions options;
   options.wal.policy = WalSyncPolicy::kEveryCommit;
+  const uint64_t unbounded = std::numeric_limits<uint64_t>::max();
 
   const uint64_t n = ScaledRows();
   uint64_t sum_before = 0, valid_before = 0, rows_before = 0;
 
   // --- 1+2. Create, write durably, 3. merge → checkpoint -------------------
   {
-    auto opened = DurableTable::Open(dir, schema, options);
+    auto opened =
+        DurablePartitionedTable::Open(dir, schema, unbounded, options);
     if (!opened.ok()) {
       std::fprintf(stderr, "open failed: %s\n",
                    opened.status().ToString().c_str());
       return 1;
     }
     auto store = std::move(opened).ValueOrDie();
-    Table& t = store->table();
+    PartitionedTable& t = store->table();
 
     std::printf("writing %" PRIu64 " orders (sync=every-commit)...\n", n);
     for (uint64_t i = 0; i < n; ++i) {
@@ -68,15 +72,15 @@ int main() {
     (void)t.DeleteRow(0);
 
     // A foreground merge: the commit writes a checkpoint and truncates the
-    // WAL (on a DurablePartitionedTable, the PartitionedMergeDaemon does the
-    // same autonomously, per segment).
+    // WAL (a PartitionedMergeDaemon does the same autonomously, per
+    // segment).
     TableMergeOptions merge;
     merge.num_threads = 2;
-    auto report = t.Merge(merge);
+    const PartitionedMergeReport report = t.MergeAll(merge);
     std::printf("merged %" PRIu64 " delta rows; checkpoints written: %"
                 PRIu64 "\n",
-                report.ok() ? report.ValueOrDie().rows_merged : 0,
-                store->durability().checkpoints_written());
+                report.table.rows_merged,
+                store->durable_segment(0).durability().checkpoints_written());
 
     // A little more traffic after the checkpoint — this is the WAL tail
     // recovery will replay.
@@ -95,20 +99,21 @@ int main() {
   }
 
   // --- Recovery -------------------------------------------------------------
-  auto reopened = DurableTable::Open(dir, schema, options);
+  auto reopened =
+      DurablePartitionedTable::Open(dir, schema, unbounded, options);
   if (!reopened.ok()) {
     std::fprintf(stderr, "recovery failed: %s\n",
                  reopened.status().ToString().c_str());
     return 1;
   }
   auto store = std::move(reopened).ValueOrDie();
-  const persist::RecoveryStats& rs = store->recovery();
+  const persist::RecoveryStats& rs = store->recovery().segments[0];
   std::printf("recovered: checkpoint=%s (rows=%" PRIu64 "), wal tail "
               "replayed=%" PRIu64 " records (torn_tail=%s)\n",
               rs.checkpoint_loaded ? "yes" : "no", rs.checkpoint_rows,
               rs.wal_records_applied, rs.torn_tail ? "yes" : "no");
 
-  const Table& t = store->table();
+  const PartitionedTable& t = store->table();
   const bool ok = t.num_rows() == rows_before &&
                   t.valid_rows() == valid_before &&
                   t.SumColumn(1) == sum_before;

@@ -44,7 +44,8 @@
 namespace deltamerge {
 
 /// One buffered write inside an optimistic multi-row transaction
-/// (Table::Transaction). Ops apply in buffer order at commit; an update or
+/// (PartitionedTable::Transaction; a segment commits its share through
+/// Table::CommitTxnOps). Ops apply in buffer order at commit; an update or
 /// delete may target a row id the same transaction created earlier (by then
 /// the row exists). The trio mirrors the single-row write API exactly —
 /// a transaction is N of these made atomic by one commit timestamp and one

@@ -251,10 +251,10 @@ class PartitionedTable {
 
   // --- optimistic multi-row transactions (global-row domain) ---
   //
-  // The partitioned sibling of Table::Transaction: writes buffer locally,
-  // the readset validates at commit under the commit locks of exactly the
-  // segments the transaction touches (ascending order; see the lock-order
-  // header comment), and the op buffer is decomposed into per-segment
+  // The one transaction handle: writes buffer locally, the readset
+  // validates at commit under the commit locks of exactly the segments the
+  // transaction touches (ascending order; see the lock-order header
+  // comment), and the op buffer is decomposed into per-segment
   // groups applied in buffer order — inserts route to the tail (rolling
   // over mid-commit when it fills), an update whose superseded row lives in
   // another segment becomes a tail insert plus an owner tombstone, and each
@@ -264,11 +264,12 @@ class PartitionedTable {
   // disjoint segment sets commit fully in parallel; only tail rollover and
   // tail selection serialize on the short tail_mu_ critical section.
   //
-  // Atomicity contract: a transaction whose ops land in one segment is
-  // all-or-nothing across crash/recovery exactly like Table's; a
-  // cross-segment transaction can only tear at group boundaries — an
-  // unacknowledged suffix of groups may vanish, never a partial group and
-  // never an invented op. (With sync=every-commit every acknowledged
+  // Atomicity contract: a transaction whose ops land in one segment (every
+  // transaction, at unbounded capacity) is all-or-nothing across
+  // crash/recovery — its one kTxnCommit record replays whole or not at
+  // all; a cross-segment transaction can only tear at group boundaries —
+  // an unacknowledged suffix of groups may vanish, never a partial group
+  // and never an invented op. (With sync=every-commit every acknowledged
   // transaction recovers whole, because the last group's Acknowledge
   // returns only after all its groups are durable.)
 
@@ -322,10 +323,8 @@ class PartitionedTable {
   /// no lock); commits over disjoint segment sets run in parallel.
   Transaction BeginTransaction() { return Transaction(this); }
 
-  /// Partitioned-transaction commits/aborts since construction (the
-  /// per-segment counters additionally count one commit per group, and a
-  /// single-segment transaction's abort also lands on its segment — the
-  /// fast path validates inside the segment Table).
+  /// Whole-transaction commits/aborts since construction (an explicit
+  /// Abort() is not counted).
   Table::TxnStats txn_stats() const {
     return Table::TxnStats{txn_commits_.load(std::memory_order_relaxed),
                            txn_aborts_.load(std::memory_order_relaxed)};
@@ -586,8 +585,9 @@ class PartitionedTable {
   /// Scan-sharing policy for segments created by future rollovers (current
   /// segments are toggled directly by EnableSharedScans).
   std::atomic<bool> shared_scans_{false};
-  /// Whole-transaction outcomes (written under tail_mu_; atomics so the
-  /// stats read needs no lock).
+  /// Whole-transaction outcomes, incremented by CommitTxn after the commit
+  /// returns, with no lock held (relaxed atomics; the stats read needs no
+  /// lock either).
   std::atomic<uint64_t> txn_commits_{0};
   std::atomic<uint64_t> txn_aborts_{0};
 

@@ -227,52 +227,13 @@ void Table::InvalidateLocked(uint64_t row, uint64_t ts) {
 // Optimistic multi-row transactions
 // ---------------------------------------------------------------------------
 
-bool Table::Transaction::ReadRowValid(uint64_t row) {
-  DM_CHECK_MSG(table_ != nullptr, "transaction already committed or aborted");
-  const bool valid = table_->IsRowValid(row);
-  readset_.push_back(TxnRead{row, valid});
-  return valid;
-}
-
-void Table::Transaction::Insert(std::span<const uint64_t> keys) {
-  DM_CHECK_MSG(table_ != nullptr, "transaction already committed or aborted");
-  DM_CHECK_MSG(keys.size() == table_->num_columns(),
-               "key count does not match column count");
-  ops_.push_back(TxnOp{TxnOp::Kind::kInsert, 0,
-                       std::vector<uint64_t>(keys.begin(), keys.end())});
-}
-
-void Table::Transaction::Update(uint64_t row, std::span<const uint64_t> keys) {
-  DM_CHECK_MSG(table_ != nullptr, "transaction already committed or aborted");
-  DM_CHECK_MSG(keys.size() == table_->num_columns(),
-               "key count does not match column count");
-  ops_.push_back(TxnOp{TxnOp::Kind::kUpdate, row,
-                       std::vector<uint64_t>(keys.begin(), keys.end())});
-}
-
-void Table::Transaction::Delete(uint64_t row) {
-  DM_CHECK_MSG(table_ != nullptr, "transaction already committed or aborted");
-  ops_.push_back(TxnOp{TxnOp::Kind::kDelete, row, {}});
-}
-
-void Table::Transaction::Abort() {
-  ops_.clear();
-  readset_.clear();
-  table_ = nullptr;
-}
-
-Status Table::Transaction::Commit() {
-  DM_CHECK_MSG(table_ != nullptr, "transaction already committed or aborted");
-  Table* table = table_;
-  table_ = nullptr;  // consumed either way
-  const Status st = table->CommitTxnOps(ops_, readset_);
-  ops_.clear();
-  readset_.clear();
-  return st;
-}
-
 Status Table::CommitTxnOps(std::span<const TxnOp> ops,
                            std::span<const TxnRead> readset) {
+  for (const TxnOp& op : ops) {
+    DM_CHECK_MSG(op.kind == TxnOp::Kind::kDelete ||
+                     op.keys.size() == columns_.size(),
+                 "txn op key count does not match column count");
+  }
   // Frame the commit record with NO lock held (like PrepareInsertBatch) —
   // optimistically: an abort wastes the encode, a commit never pays it
   // inside the critical section.
@@ -313,14 +274,10 @@ Status Table::CommitTxnLocked(std::span<const TxnOp> ops,
   for (const TxnRead& e : readset) {
     const bool valid = e.row < validity_.size() && validity_.IsValid(e.row);
     if (valid != e.observed_valid) {
-      ++txn_aborts_;
       return Status::Aborted("transaction readset conflict");
     }
   }
-  if (ops.empty()) {
-    ++txn_commits_;
-    return Status::OK();
-  }
+  if (ops.empty()) return Status::OK();
   // Log before mutating (the single-row discipline): the WAL sequence is
   // the authoritative serialization of the write history.
   if (journal_ != nullptr && prepared != nullptr) {
@@ -359,19 +316,9 @@ Status Table::CommitTxnLocked(std::span<const TxnOp> ops,
       }
     }
   }
-  ++txn_commits_;
   delta_update_cycles_.fetch_add(CycleClock::Now() - t0,
                                  std::memory_order_relaxed);
   return Status::OK();
-}
-
-Table::Transaction Table::BeginTransaction() {
-  return Transaction(this, epochs_.current_epoch());
-}
-
-Table::TxnStats Table::txn_stats() const {
-  ReaderMutexLock lock(mu_);
-  return TxnStats{txn_commits_, txn_aborts_};
 }
 
 Snapshot Table::CreateSnapshot() const {

@@ -58,8 +58,8 @@ struct Schema {
 /// One readset observation: `row`'s validity as the transaction saw it.
 /// Commit-time validation re-checks the observation against the current
 /// bitmap and aborts on a mismatch (first-updater-wins). Namespace-scope —
-/// shared by Table::Transaction, PartitionedTable's per-segment commit
-/// paths, and the validate/apply split (CommitTxnOps / ValidateReadset).
+/// shared by PartitionedTable::Transaction, its per-segment commit paths,
+/// and the validate/apply split (CommitTxnOps / ValidateReadset).
 struct TxnRead {
   uint64_t row;
   bool observed_valid;
@@ -161,88 +161,28 @@ class Table {
 
   // --- optimistic multi-row transactions (Hekaton-style MVCC) ---
   //
-  // A Transaction buffers writes locally (no lock, no WAL traffic) and
-  // records a readset of (row, observed-validity) pairs. Commit takes the
-  // exclusive lock once: it re-checks every readset entry against the
-  // current validity bitmap, and on a mismatch aborts with Status::Aborted
-  // — nothing was applied, nothing was logged. On success every op is
-  // stamped with ONE fresh commit timestamp (AdvanceClock under the lock),
-  // applied in buffer order, and journaled as ONE kTxnCommit WAL record —
-  // so the transaction is atomic three ways: to concurrent snapshots (the
-  // exclusive lock), in the timestamp history (one commit ts), and across
-  // crash/recovery (one CRC'd record).
-  //
-  // Validation is readset-only (first-updater-wins is opted into by
-  // reading a row's validity before updating it); the writes themselves
-  // are liberal, mirroring the single-row API: an update whose target is
-  // already invalid still appends the new version, a delete of a dead row
-  // is a no-op. That keeps replay — which re-commits each logged
-  // transaction with an empty readset — byte-identical to the live apply.
+  // The segment-level commit steps behind PartitionedTable::Transaction,
+  // which buffers writes locally (no lock, no WAL traffic) and records a
+  // readset of (row, observed-validity) pairs.
 
-  class Transaction {
-   public:
-    Transaction() = default;
-    ~Transaction() = default;
-    Transaction(Transaction&&) = default;
-    Transaction& operator=(Transaction&&) = default;
-    DM_DISALLOW_COPY(Transaction);
-
-    bool open() const { return table_ != nullptr; }
-    /// The commit-clock value observed at begin (diagnostic).
-    uint64_t begin_ts() const { return begin_ts_; }
-    size_t num_ops() const { return ops_.size(); }
-
-    /// Reads a row's current validity AND records it in the readset:
-    /// commit aborts if the observation no longer holds. This is the
-    /// conflict hook — read-then-update yields first-updater-wins.
-    bool ReadRowValid(uint64_t row);
-
-    /// Buffers an insert; keys.size() must equal the table's column count.
-    void Insert(std::span<const uint64_t> keys);
-    void Insert(std::initializer_list<uint64_t> keys) {
-      Insert(std::span<const uint64_t>(keys.begin(), keys.size()));
-    }
-    /// Buffers an insert-only update of `row` (which may be a row this
-    /// transaction created earlier: ops apply in buffer order).
-    void Update(uint64_t row, std::span<const uint64_t> keys);
-    void Update(uint64_t row, std::initializer_list<uint64_t> keys) {
-      Update(row, std::span<const uint64_t>(keys.begin(), keys.size()));
-    }
-    /// Buffers a delete of `row`.
-    void Delete(uint64_t row);
-
-    /// Validates the readset and atomically applies + journals the op
-    /// buffer. Returns Status::Aborted on a readset conflict (nothing
-    /// applied). The handle is consumed either way.
-    Status Commit();
-
-    /// Discards the buffered ops; the handle is consumed.
-    void Abort();
-
-   private:
-    friend class Table;
-    explicit Transaction(Table* table, uint64_t begin_ts)
-        : table_(table), begin_ts_(begin_ts) {}
-
-    Table* table_ = nullptr;
-    uint64_t begin_ts_ = 0;
-    std::vector<TxnOp> ops_;
-    std::vector<TxnRead> readset_;
-  };
-
-  /// Opens a transaction. Any number may be open concurrently (they hold
-  /// no lock); commits serialize on the table's exclusive lock.
-  Transaction BeginTransaction() DM_EXCLUDES(mu_);
-
-  /// The validate/apply split, exposed directly: atomically validates
-  /// `readset` against the current validity bitmap and, on success, stamps,
-  /// applies, and journals `ops` as ONE transaction commit (one commit
-  /// timestamp, one kTxnCommit record) — all under a single exclusive-lock
-  /// acquisition. Returns Status::Aborted on a readset conflict (nothing
-  /// applied, nothing logged). Transaction::Commit delegates here; the
-  /// partitioned per-segment commit path drives it directly so a
-  /// single-segment transaction is one atomic Table-level step with no
-  /// intermediate Transaction buffering.
+  /// Commits one transaction's ops on this table. Takes the exclusive lock
+  /// once: re-checks every readset entry against the current validity
+  /// bitmap, and on a mismatch returns Status::Aborted — nothing applied,
+  /// nothing logged. On success every op is stamped with ONE fresh commit
+  /// timestamp (AdvanceClock under the lock), applied in `ops` order, and
+  /// journaled as ONE kTxnCommit WAL record — so the commit is atomic
+  /// three ways: to concurrent snapshots (the exclusive lock), in the
+  /// timestamp history (one commit ts), and across crash/recovery (one
+  /// CRC'd record, framed before the lock is taken).
+  ///
+  /// Validation is readset-only (first-updater-wins is opted into by
+  /// reading a row's validity before updating it); the writes themselves
+  /// are liberal, mirroring the single-row API: an update whose target is
+  /// already invalid still appends the new version, a delete of a dead or
+  /// out-of-range row is a no-op. That keeps WAL replay — which re-commits
+  /// each logged transaction here with an empty readset — byte-identical
+  /// to the live apply. Every insert and update op must carry
+  /// num_columns() keys (DM_CHECKed before anything is framed or locked).
   Status CommitTxnOps(std::span<const TxnOp> ops,
                       std::span<const TxnRead> readset) DM_EXCLUDES(mu_);
 
@@ -255,12 +195,11 @@ class Table {
   bool ValidateReadset(std::span<const TxnRead> readset) const
       DM_EXCLUDES(mu_);
 
-  /// Commits/aborts since construction (bench + test observability).
+  /// Transaction commits/aborts (PartitionedTable::txn_stats).
   struct TxnStats {
     uint64_t commits = 0;
     uint64_t aborts = 0;
   };
-  TxnStats txn_stats() const DM_EXCLUDES(mu_);
 
   // --- read path ---
   uint64_t GetKey(size_t col, uint64_t row) const DM_EXCLUDES(mu_);
@@ -396,8 +335,6 @@ class Table {
   mutable query::ScanGate scan_gate_;
   std::atomic<bool> shared_scans_{false};
   TableJournal* journal_ DM_GUARDED_BY(mu_) = nullptr;
-  uint64_t txn_commits_ DM_GUARDED_BY(mu_) = 0;
-  uint64_t txn_aborts_ DM_GUARDED_BY(mu_) = 0;
   std::atomic<uint64_t> delta_update_cycles_{0};
   std::atomic<bool> merge_running_{false};
 };

@@ -421,7 +421,7 @@ Result<std::unique_ptr<DurableTable>> DurableTable::Open(
               return Status::Internal("txn record has wrong column count");
             }
             const size_t total = rec.payload.size();
-            Table::Transaction txn = table->BeginTransaction();
+            std::vector<TxnOp> ops;
             size_t off = 16;
             for (uint64_t i = 0; i < num_ops; ++i) {
               if (off + 16 > total) {
@@ -430,35 +430,31 @@ Result<std::unique_ptr<DurableTable>> DurableTable::Open(
               const uint64_t kind = ReadU64At(rec.payload, off);
               const uint64_t target = ReadU64At(rec.payload, off + 8);
               off += 16;
-              if (kind == 2) {  // delete
-                txn.Delete(target);
-                continue;
-              }
               if (kind > 2) {
                 return Status::Internal("txn record has unknown op kind");
               }
-              if (off + nc * 8 > total) {
-                return Status::Internal("txn record is short an op's keys");
+              TxnOp op{static_cast<TxnOp::Kind>(kind), target, {}};
+              if (op.kind != TxnOp::Kind::kDelete) {
+                if (off + nc * 8 > total) {
+                  return Status::Internal("txn record is short an op's keys");
+                }
+                op.keys.resize(nc);
+                for (size_t c = 0; c < nc; ++c) {
+                  op.keys[c] = ReadU64At(rec.payload, off + c * 8);
+                }
+                off += nc * 8;
               }
-              for (size_t c = 0; c < nc; ++c) {
-                keys[c] = ReadU64At(rec.payload, off + c * 8);
-              }
-              off += nc * 8;
-              if (kind == 0) {
-                txn.Insert(keys);
-              } else {
-                txn.Update(target, keys);
-              }
+              ops.push_back(std::move(op));
             }
             if (off != total) {
               return Status::Internal("txn record has trailing bytes");
             }
-            // Re-commit through the live transaction path with an empty
-            // readset (validation trivially passes — the record only exists
-            // because the original validation passed) and no journal
-            // attached, so nothing re-logs. The whole op list applies under
-            // one commit timestamp, atomically — exactly the live commit.
-            const Status st = txn.Commit();
+            // Re-commit through the live commit step with an empty readset
+            // (validation trivially passes — the record only exists because
+            // the original validation passed) and no journal attached, so
+            // nothing re-logs. The whole op list applies under one commit
+            // timestamp, atomically — exactly the live commit.
+            const Status st = table->CommitTxnOps(ops, {});
             if (st.ok()) stats.wal_ops_applied += num_ops;
             return st;
           }

@@ -307,14 +307,8 @@ std::vector<WriteOp> GroupIntoTransactions(std::span<const WriteOp> ops,
   return out;
 }
 
-namespace {
-
-/// Table and PartitionedTable expose the identical write surface; one
-/// dispatch keeps the monolithic and sharded differential schedules
-/// op-for-op identical.
-template <typename TableT>
-void ApplyWriteOpImpl(TableT* table, const WriteOp& op,
-                      TaskQueue* batch_queue) {
+void ApplyWriteOp(PartitionedTable* table, const WriteOp& op,
+                  TaskQueue* batch_queue) {
   switch (op.kind) {
     case WriteOpKind::kInsert:
       table->InsertRow(op.keys);
@@ -351,27 +345,14 @@ void ApplyWriteOpImpl(TableT* table, const WriteOp& op,
   }
 }
 
-}  // namespace
-
-void ApplyWriteOp(Table* table, const WriteOp& op, TaskQueue* batch_queue) {
-  ApplyWriteOpImpl(table, op, batch_queue);
-}
-
 double WriteScheduleReport::updates_per_second() const {
   if (wall_cycles == 0) return 0;
   return static_cast<double>(ops) / CycleClock::ToSeconds(wall_cycles);
 }
 
-namespace {
-
-/// Shared schedule-runner body: the monolithic and sharded runners MUST
-/// stay op-for-op identical (the differential tortures apply one schedule
-/// to both table kinds), so only the apply and merge steps vary.
-template <typename TableT, typename MergeFn>
-WriteScheduleReport RunScheduleImpl(TableT* table,
-                                    std::span<const WriteOp> ops,
-                                    const WriteScheduleOptions& options,
-                                    const MergeFn& merge) {
+WriteScheduleReport RunWriteSchedule(PartitionedTable* table,
+                                     std::span<const WriteOp> ops,
+                                     const WriteScheduleOptions& options) {
   DM_CHECK(table != nullptr);
   WriteScheduleReport report;
   uint64_t logical = 0;
@@ -382,35 +363,12 @@ WriteScheduleReport RunScheduleImpl(TableT* table,
     if (options.on_op_acknowledged) options.on_op_acknowledged(logical - 1);
     if (options.merge_every > 0 && (i + 1) % options.merge_every == 0 &&
         table->delta_rows() > 0) {
-      report.merges += merge();
+      report.merges += table->MergeAll(options.merge).segments_merged;
     }
   }
   report.wall_cycles = CycleClock::Now() - t0;
   report.ops = logical;
   return report;
-}
-
-}  // namespace
-
-WriteScheduleReport RunWriteSchedule(Table* table,
-                                     std::span<const WriteOp> ops,
-                                     const WriteScheduleOptions& options) {
-  return RunScheduleImpl(table, ops, options, [&]() -> uint64_t {
-    return table->Merge(options.merge).ok() ? 1 : 0;
-  });
-}
-
-void ApplyWriteOp(PartitionedTable* table, const WriteOp& op,
-                  TaskQueue* batch_queue) {
-  ApplyWriteOpImpl(table, op, batch_queue);
-}
-
-WriteScheduleReport RunPartitionedWriteSchedule(
-    PartitionedTable* table, std::span<const WriteOp> ops,
-    const WriteScheduleOptions& options) {
-  return RunScheduleImpl(table, ops, options, [&]() -> uint64_t {
-    return table->MergeAll(options.merge).segments_merged;
-  });
 }
 
 ConcurrentWorkloadReport RunConcurrentReadWriteMerge(

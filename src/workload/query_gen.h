@@ -136,23 +136,27 @@ ConcurrentWorkloadReport RunConcurrentReadWriteMerge(
 // The durability bench and the crash-recovery torture both need the same
 // thing: a seeded insert/update/delete stream whose every operation is
 // *precomputable* — target rows included — so the identical schedule can be
-// applied to a Table, a persist::DurableTable, and the tests' reference
-// model, and truncated at any prefix for crash-point comparison.
+// applied to a PartitionedTable, a persist::DurablePartitionedTable (at any
+// segment capacity; an unbounded one is the monolithic shape), and the
+// tests' reference model, and truncated at any prefix for crash-point
+// comparison.
 // ---------------------------------------------------------------------------
 
 enum class WriteOpKind : uint8_t {
   kInsert = 0,
   kUpdate = 1,
   kDelete = 2,
-  /// A bulk insert of batch_rows rows in one Table::InsertRows call — on a
-  /// durable table, one WAL record and one group-committed acknowledgment
-  /// for the whole batch.
+  /// A bulk insert of batch_rows rows in one PartitionedTable::InsertRows
+  /// call — on a durable table, one WAL record and one group-committed
+  /// acknowledgment per segment chunk (the whole batch at unbounded
+  /// capacity).
   kInsertBatch = 3,
   /// A multi-row optimistic transaction: txn_ops committed through
-  /// Table::BeginTransaction / PartitionedTable::BeginTransaction with an
-  /// empty readset (a deterministic schedule has no concurrent writers, so
-  /// it can never abort) — on a durable table, ONE kTxnCommit WAL record
-  /// that recovers whole or vanishes whole.
+  /// PartitionedTable::BeginTransaction with an empty readset (a
+  /// deterministic schedule has no concurrent writers, so it can never
+  /// abort) — on a durable table, ONE kTxnCommit WAL record per segment
+  /// group (one in all at unbounded capacity), each recovering whole or
+  /// vanishing whole.
   kTxn = 4,
 };
 
@@ -198,14 +202,10 @@ std::vector<WriteOp> GroupIntoTransactions(std::span<const WriteOp> ops,
                                            uint64_t max_txn_ops,
                                            uint64_t seed);
 
-/// Applies one op through the real write path; `batch_queue` (optional)
-/// column-parallelizes kInsertBatch ops.
-void ApplyWriteOp(Table* table, const WriteOp& op,
-                  TaskQueue* batch_queue = nullptr);
-
 struct WriteScheduleOptions {
-  /// Run a foreground Table::Merge after every N applied schedule entries
-  /// (0 = never); on a durable table each such merge produces a checkpoint.
+  /// Run a foreground MergeAll pass after every N applied schedule entries
+  /// (0 = never): every segment with delta rows merges, and on a durable
+  /// table each such segment merge produces a per-segment checkpoint.
   uint64_t merge_every = 0;
   TableMergeOptions merge;
   /// Column-parallelizes kInsertBatch entries (caller-owned; may be null).
@@ -225,27 +225,20 @@ struct WriteScheduleReport {
   double updates_per_second() const;
 };
 
-/// Applies `ops` in order on the calling thread, timing the write path
-/// (acknowledgment included — on a durable table this is the fsync cost the
-/// WAL-overhead bench exists to measure).
-WriteScheduleReport RunWriteSchedule(Table* table,
-                                     std::span<const WriteOp> ops,
-                                     const WriteScheduleOptions& options);
-
 /// Applies one op through the sharded write path: global row-id routing for
-/// updates/deletes, rollover-splitting batch ingest for kInsertBatch.
+/// updates/deletes, rollover-splitting batch ingest for kInsertBatch;
+/// `batch_queue` (optional) column-parallelizes kInsertBatch ops.
 void ApplyWriteOp(PartitionedTable* table, const WriteOp& op,
                   TaskQueue* batch_queue = nullptr);
 
-/// RunWriteSchedule's sharded twin. `merge_every` runs a foreground
-/// MergeAll pass — every dirty segment merges (bounded work each), and on a
-/// durable partitioned table every such segment merge produces a
-/// per-segment checkpoint. The same deterministic schedule therefore
-/// drives Table, DurableTable, PartitionedTable, and
-/// DurablePartitionedTable, which is what the sharded differential and
-/// crash-recovery tortures compare.
-WriteScheduleReport RunPartitionedWriteSchedule(
-    PartitionedTable* table, std::span<const WriteOp> ops,
-    const WriteScheduleOptions& options);
+/// Applies `ops` in order on the calling thread, timing the write path
+/// (acknowledgment included — on a durable table this is the fsync cost the
+/// WAL-overhead bench exists to measure). The same deterministic schedule
+/// drives PartitionedTable and DurablePartitionedTable at any segment
+/// capacity, which is what the sharded differential and crash-recovery
+/// tortures compare.
+WriteScheduleReport RunWriteSchedule(PartitionedTable* table,
+                                     std::span<const WriteOp> ops,
+                                     const WriteScheduleOptions& options);
 
 }  // namespace deltamerge

@@ -8,31 +8,36 @@
 // kInsertBatch records (the PR 4 differential), and runs grouped into
 // multi-row transactions whose kTxnCommit records must recover whole or
 // vanish whole (the PR 8 differential — a crash may only land on a
-// transaction-atomic prefix):
+// transaction-atomic prefix). Every simulator writes through a
+// DurablePartitionedTable: the CrashRecovery* suites run the monolithic
+// shape (one segment of unbounded capacity), the PartitionedCrash* suites
+// bounded capacities whose schedules cross many rollovers, and both run
+// the same test bodies.
 //
 //   * WAL truncation at a random byte: run a schedule (checkpoints
-//     included), close, chop the newest segment mid-frame, reopen. The
-//     recovered table must equal the reference model replayed to exactly
-//     the logical-op prefix the surviving records cover — a valid prefix,
-//     nothing invented, never anything below the last checkpoint, and
-//     never a partially applied batch.
+//     included), close, chop the tail segment's newest WAL file
+//     mid-frame, reopen. The recovered table must equal the reference
+//     state the surviving records cover — a valid per-segment prefix,
+//     nothing invented, never anything below the cut segment's newest
+//     checkpoint, and never a partially applied batch.
 //
-//   * every-byte batch truncation: a batch-heavy segment cut at every
-//     possible byte length; a torn kInsertBatch record must vanish
-//     atomically — recovery lands between records, never inside one.
+//   * every-byte truncation: a batch- or transaction-heavy WAL cut at
+//     every possible byte length; a torn kInsertBatch or kTxnCommit record
+//     must vanish atomically — recovery lands between records, never
+//     inside one.
 //
 //   * fork + SIGKILL: a child process writes with sync=every-commit and
 //     reports each acknowledged logical op through a pipe; the parent
-//     kills it at a random moment (possibly mid-fsync, mid-checkpoint, or
-//     mid-rename), reopens the directory, and verifies every
-//     reported-acknowledged op recovered and the result is a valid
-//     schedule prefix. Batched params make the acknowledged-batch-survives
-//     invariant face real crashes.
+//     kills it at a random moment (possibly mid-fsync, mid-checkpoint,
+//     mid-rename, or mid-rollover), reopens the directory, and verifies
+//     every reported-acknowledged op recovered and the result is an exact
+//     prefix of the global single-row operation stream. Batched params
+//     make the acknowledged-batch-survives invariant face real crashes.
 //
-// Per-row logging keeps "recovered LSN == recovered op count"; batch
-// records break that identity, so the SchedulePlan of
-// tests/durable_torture_util.h maps every LSN back to its exact
-// logical-op prefix.
+// Per-row logging keeps "recovered LSN == recovered op count"; batch and
+// transaction records break that identity, so the PartitionedPlan of
+// tests/durable_torture_util.h maps every segment's recovered LSN back to
+// the exact reference state it covers.
 
 #include <gtest/gtest.h>
 
@@ -43,7 +48,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -64,18 +68,126 @@ using persist::DurableTable;
 using persist::DurableTableOptions;
 using persist::ListWalSegments;
 using persist::WalSyncPolicy;
+using testref::ExpectTableMatchesModel;
+using testref::kTortureKeyDomain;
+using testref::kUnboundedCapacity;
 using testref::PartitionedPlan;
 using testref::PartitionedRecoveredModel;
 using testref::PlanPartitionedSchedule;
-using testref::ExpectTableMatchesModel;
-using testref::kTortureKeyDomain;
-using testref::ModelPrefix;
-using testref::PlanSchedule;
 using testref::ReferenceModel;
-using testref::SchedulePlan;
 using testref::TortureSchema;
 using testref::TortureScratchDir;
 
+/// The shared schedule pipeline: coalesce insert runs into batch records,
+/// then group seeded runs into multi-row transactions. Both transforms
+/// preserve the logical op stream, so every framing decomposes into the
+/// same single-row micro stream the plan checks recovery against.
+std::vector<WriteOp> FrameSchedule(const std::vector<WriteOp>& ops,
+                                   uint64_t batch, uint64_t txn,
+                                   uint64_t seed) {
+  std::vector<WriteOp> schedule =
+      batch > 0 ? CoalesceInsertBatches(ops, batch) : ops;
+  if (txn > 0) schedule = GroupIntoTransactions(schedule, txn, seed);
+  return schedule;
+}
+
+/// Per-segment recovered LSNs of a reopened partitioned table.
+std::vector<uint64_t> RecoveredLsns(const DurablePartitionedTable& t) {
+  std::vector<uint64_t> lsns;
+  for (const persist::RecoveryStats& s : t.recovery().segments) {
+    lsns.push_back(s.recovered_lsn);
+  }
+  return lsns;
+}
+
+// --- WAL truncation at a random byte ---------------------------------------
+
+struct PartTruncateParam {
+  uint64_t seed;
+  uint64_t ops;
+  uint64_t capacity;     // small => the schedule crosses many rollovers
+  uint64_t merge_every;  // 0 = no per-segment checkpoints
+  uint64_t batch;        // 0 = per-row records; else max kInsertBatch rows
+  uint64_t txn = 0;      // 0 = no grouping; else max ops per transaction
+};
+
+void PrintTo(const PartTruncateParam& p, std::ostream* os) {
+  *os << "seed=" << p.seed << " ops=" << p.ops << " capacity=" << p.capacity
+      << " merge_every=" << p.merge_every << " batch=" << p.batch
+      << " txn=" << p.txn;
+}
+
+/// The truncation torture body: run the framed schedule (foreground
+/// MergeAll every `merge_every` entries, so merged segments checkpoint),
+/// close, chop the tail segment's newest WAL file at a random byte — the
+/// crash image where the globally newest records are torn away while
+/// later-logged tombstones in sealed segments survive — and reopen.
+void RunTruncationTorture(const PartTruncateParam& p) {
+  const std::vector<WriteOp> ops =
+      GenerateWriteOps(3, p.ops, kTortureKeyDomain, p.seed);
+  const std::vector<WriteOp> schedule =
+      FrameSchedule(ops, p.batch, p.txn, p.seed);
+  const PartitionedPlan plan = PlanPartitionedSchedule(schedule, p.capacity);
+  const size_t num_segments = plan.planned_records.size();
+
+  TortureScratchDir dir("pcrash");
+  DurableTableOptions options;
+  options.wal.policy = WalSyncPolicy::kEveryCommit;
+  // Replay LSN of the tail segment's newest installed checkpoint: recovery
+  // must never land below the history it covers.
+  uint64_t tail_checkpoint_lsn = 0;
+  {
+    auto opened = DurablePartitionedTable::Open(dir.path(), TortureSchema(),
+                                                p.capacity, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    DurablePartitionedTable& dt = *opened.ValueOrDie();
+    WriteScheduleOptions sched;
+    sched.merge_every = p.merge_every;
+    const WriteScheduleReport report =
+        RunWriteSchedule(&dt.table(), schedule, sched);
+    ASSERT_EQ(dt.table().num_segments(), num_segments);
+    if (report.merges > 0) {
+      uint64_t checkpoints = 0;
+      for (size_t s = 0; s < num_segments; ++s) {
+        checkpoints += dt.durable_segment(s).durability().checkpoints_written();
+      }
+      EXPECT_GE(checkpoints, 1u) << report.merges << " merges, no checkpoint";
+    }
+    const persist::DurableTable& tail = dt.durable_segment(num_segments - 1);
+    tail_checkpoint_lsn = tail.durability().installed_replay_lsn();
+  }
+
+  // Only the TAIL's WAL may be cut: sealed segments hold acknowledged
+  // history that later rows depend on, and recovery refuses to lose it —
+  // ShortSealedSegmentRefused covers that.
+  char tail_dir[32];
+  std::snprintf(tail_dir, sizeof(tail_dir), "/seg-%06zu", num_segments - 1);
+  Rng rng(p.seed ^ 0xca75c4a5ULL);
+  testref::ChopNewestWalSegment(dir.path() + tail_dir, &rng);
+
+  auto reopened = DurablePartitionedTable::Open(dir.path(), TortureSchema(),
+                                                p.capacity, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const auto& dt = *reopened.ValueOrDie();
+  ASSERT_EQ(dt.recovery().segments.size(), num_segments);
+
+  const std::vector<uint64_t> lsns = RecoveredLsns(dt);
+  // Only the cut segment may have lost records; everything else must have
+  // recovered its full planned history.
+  for (size_t s = 0; s + 1 < num_segments; ++s) {
+    ASSERT_EQ(lsns[s], plan.planned_records[s]) << "segment " << s;
+  }
+  const uint64_t tail_lsn = lsns[num_segments - 1];
+  ASSERT_LE(tail_lsn, plan.planned_records[num_segments - 1]);
+  // A checkpoint at replay LSN r covers records 1..r-1.
+  ASSERT_GE(tail_lsn + 1, tail_checkpoint_lsn)
+      << "recovery lost checkpointed (acknowledged + durable) writes";
+  const ReferenceModel model = PartitionedRecoveredModel(plan, lsns);
+  ExpectTableMatchesModel(dt.table(), model, p.seed);
+}
+
+/// The monolithic parameter sets: the same body at unbounded capacity, so
+/// the one segment never seals and the cut always lands in its WAL.
 struct TruncateParam {
   uint64_t seed;
   uint64_t ops;
@@ -90,63 +202,13 @@ void PrintTo(const TruncateParam& p, std::ostream* os) {
       << " txn=" << p.txn;
 }
 
-/// The shared schedule pipeline: coalesce insert runs into batch records,
-/// then group seeded runs into multi-row transactions. Both transforms
-/// preserve the logical op stream, so every framing replays against the
-/// same reference model.
-std::vector<WriteOp> FrameSchedule(const std::vector<WriteOp>& ops,
-                                   uint64_t batch, uint64_t txn,
-                                   uint64_t seed) {
-  std::vector<WriteOp> schedule =
-      batch > 0 ? CoalesceInsertBatches(ops, batch) : ops;
-  if (txn > 0) schedule = GroupIntoTransactions(schedule, txn, seed);
-  return schedule;
-}
-
 class CrashRecoveryTruncate : public ::testing::TestWithParam<TruncateParam> {
 };
 
 TEST_P(CrashRecoveryTruncate, RecoversExactPrefixAtRandomCuts) {
   const TruncateParam p = GetParam();
-  const std::vector<WriteOp> ops =
-      GenerateWriteOps(3, p.ops, kTortureKeyDomain, p.seed);
-  const std::vector<WriteOp> schedule =
-      FrameSchedule(ops, p.batch, p.txn, p.seed);
-  const SchedulePlan plan = PlanSchedule(schedule, p.merge_every);
-
-  TortureScratchDir dir("crash");
-  DurableTableOptions options;
-  options.wal.policy = WalSyncPolicy::kEveryCommit;
-
-  {
-    auto opened = DurableTable::Open(dir.path(), TortureSchema(), options);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    auto& dt = *opened.ValueOrDie();
-    WriteScheduleOptions sched_options;
-    sched_options.merge_every = p.merge_every;
-    RunWriteSchedule(&dt.table(), schedule, sched_options);
-    if (p.merge_every > 0 && plan.checkpoint_ops > 0) {
-      EXPECT_GE(dt.durability().checkpoints_written(), 1u);
-    }
-  }
-
-  // Chop the newest segment at a random byte — a hard crash mid-write.
-  Rng rng(p.seed ^ 0xca75c4a5ULL);
-  testref::ChopNewestWalSegment(dir.path(), &rng);
-
-  auto reopened = DurableTable::Open(dir.path(), TortureSchema(), options);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  const auto& dt = *reopened.ValueOrDie();
-
-  // The plan maps the recovered LSN to the exact logical-op prefix; a
-  // batch record that lost even one byte contributes zero ops to it.
-  const uint64_t recovered_ops = plan.OpsRecovered(dt.recovery().recovered_lsn);
-  ASSERT_LE(recovered_ops, p.ops);
-  ASSERT_GE(recovered_ops, plan.checkpoint_ops)
-      << "recovery lost checkpointed (acknowledged + durable) writes";
-
-  const ReferenceModel model = ModelPrefix(ops, recovered_ops);
-  ExpectTableMatchesModel(dt.table(), model, p.seed);
+  RunTruncationTorture(PartTruncateParam{p.seed, p.ops, kUnboundedCapacity,
+                                         p.merge_every, p.batch, p.txn});
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -171,216 +233,11 @@ INSTANTIATE_TEST_SUITE_P(
                       TruncateParam{808, 900, 200, 64, 4},
                       TruncateParam{909, 500, 100, 16, 8}));
 
-// --- every-byte batch truncation --------------------------------------------
-
-TEST(CrashRecoveryBatch, TornBatchRecordVanishesAtomicallyAtEveryCut) {
-  // A batch-heavy schedule in a single segment, cut at EVERY byte offset:
-  // at each cut the recovered table must equal the model at the plan's
-  // record-boundary op count — if a torn kInsertBatch ever applied a row
-  // prefix, some cut inside its frame would mismatch.
-  const uint64_t kSeed = 77;
-  SCOPED_TRACE("seed=77");
-  const std::vector<WriteOp> ops =
-      GenerateWriteOps(3, /*num_ops=*/60, kTortureKeyDomain, kSeed);
-  testref::RunEveryByteCutTorture(ops, CoalesceInsertBatches(ops, 8), kSeed,
-                                  "batchcut");
-}
-
-TEST(CrashRecoveryTxn, TornTxnCommitRecordVanishesAtomicallyAtEveryCut) {
-  // A transaction-grouped schedule cut at EVERY byte offset: a torn
-  // kTxnCommit record must vanish atomically — recovery may never land on
-  // a row prefix of a transaction's op set. Every cut inside a commit
-  // frame would otherwise mismatch the model at that boundary.
-  const uint64_t kSeed = 177;
-  SCOPED_TRACE("seed=177");
-  const std::vector<WriteOp> ops =
-      GenerateWriteOps(3, /*num_ops=*/70, kTortureKeyDomain, kSeed);
-  testref::RunEveryByteCutTorture(
-      ops, GroupIntoTransactions(ops, /*max_txn_ops=*/5, kSeed), kSeed,
-      "txncut");
-}
-
-TEST(CrashRecoveryTxn, MixedBatchAndTxnRecordsRecoverAtomicallyAtEveryCut) {
-  // Batch and transaction framings interleaved in one WAL: both multi-op
-  // record types must stay individually atomic at every cut.
-  const uint64_t kSeed = 178;
-  SCOPED_TRACE("seed=178");
-  const std::vector<WriteOp> ops =
-      GenerateWriteOps(3, /*num_ops=*/80, kTortureKeyDomain, kSeed);
-  const std::vector<WriteOp> schedule =
-      GroupIntoTransactions(CoalesceInsertBatches(ops, 8), 4, kSeed);
-  testref::RunEveryByteCutTorture(ops, schedule, kSeed, "mixcut");
-}
-
-// --- fork + SIGKILL ---------------------------------------------------------
-
-struct KillParam {
-  uint64_t seed;
-  uint64_t ops;
-  uint64_t merge_every;
-  uint64_t max_sleep_ms;  // parent waits up to this long before SIGKILL
-  uint64_t batch;         // 0 = per-row records; else max kInsertBatch rows
-  uint64_t txn = 0;       // 0 = no grouping; else max ops per transaction
-};
-
-void PrintTo(const KillParam& p, std::ostream* os) {
-  *os << "seed=" << p.seed << " ops=" << p.ops
-      << " merge_every=" << p.merge_every << " batch=" << p.batch
-      << " txn=" << p.txn;
-}
-
-class CrashRecoverySigkill : public ::testing::TestWithParam<KillParam> {};
-
-TEST_P(CrashRecoverySigkill, ChildKilledMidWorkloadLosesNoAcknowledgedOp) {
-  const KillParam p = GetParam();
-  const std::vector<WriteOp> ops =
-      GenerateWriteOps(3, p.ops, kTortureKeyDomain, p.seed);
-  const std::vector<WriteOp> schedule =
-      FrameSchedule(ops, p.batch, p.txn, p.seed);
-  const SchedulePlan plan = PlanSchedule(schedule, p.merge_every);
-
-  TortureScratchDir dir("kill");
-  DurableTableOptions options;
-  options.wal.policy = WalSyncPolicy::kEveryCommit;
-
-  // A transaction acknowledges as a whole (its last logical op index), so
-  // everything the child reports is durable under sync=every-commit — one
-  // record covers the whole batch or transaction.
-  Rng rng(p.seed ^ 0x5161c1a1ULL);
-  const uint64_t acked_ops = testref::ForkWriterAndKill(
-      [&](const std::function<void(uint64_t)>& report) {
-        auto opened =
-            DurableTable::Open(dir.path(), TortureSchema(), options);
-        if (!opened.ok()) return false;
-        WriteScheduleOptions sched_options;
-        sched_options.merge_every = p.merge_every;
-        sched_options.on_op_acknowledged = report;
-        RunWriteSchedule(&opened.ValueOrDie()->table(), schedule,
-                         sched_options);
-        return true;
-      },
-      p.max_sleep_ms, &rng);
-
-  auto reopened = DurableTable::Open(dir.path(), TortureSchema(), options);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  const auto& dt = *reopened.ValueOrDie();
-
-  const uint64_t recovered_ops = plan.OpsRecovered(dt.recovery().recovered_lsn);
-  ASSERT_LE(recovered_ops, p.ops);
-  // The durability contract: every acknowledged write recovers — for a
-  // batch, all of its rows. (recovered > acked is fine — records can be
-  // durable before the ack is observed.)
-  ASSERT_GE(recovered_ops, acked_ops)
-      << "recovery lost acknowledged writes (acked=" << acked_ops << ")";
-
-  const ReferenceModel model = ModelPrefix(ops, recovered_ops);
-  ExpectTableMatchesModel(dt.table(), model, p.seed);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Kills, CrashRecoverySigkill,
-    ::testing::Values(KillParam{7001, 2000, 400, 300, 0},
-                      KillParam{7002, 2000, 400, 300, 0},
-                      KillParam{7003, 1500, 0, 200, 0},
-                      KillParam{7004, 2500, 250, 400, 0},
-                      // Mixed row/batch workloads: insert runs coalesced,
-                      // updates/deletes stay per-row records between them.
-                      KillParam{7005, 2000, 400, 300, 64},
-                      KillParam{7006, 1500, 0, 200, 16},
-                      KillParam{7007, 2500, 250, 400, 128},
-                      // Transaction-grouped: acknowledged transactions must
-                      // survive whole; unacknowledged ones may vanish whole.
-                      KillParam{7008, 2000, 400, 300, 0, 6},
-                      KillParam{7009, 1500, 0, 200, 0, 4},
-                      KillParam{7010, 2500, 250, 400, 64, 5}));
-
-// ---------------------------------------------------------------------------
-// DurablePartitionedTable (PR 5): per-segment WALs, manifest recovery.
-// ---------------------------------------------------------------------------
-
-/// Per-segment recovered LSNs of a reopened partitioned table.
-std::vector<uint64_t> RecoveredLsns(const DurablePartitionedTable& t) {
-  std::vector<uint64_t> lsns;
-  for (const persist::RecoveryStats& s : t.recovery().segments) {
-    lsns.push_back(s.recovered_lsn);
-  }
-  return lsns;
-}
-
-struct PartTruncateParam {
-  uint64_t seed;
-  uint64_t ops;
-  uint64_t capacity;     // small => the schedule crosses many rollovers
-  uint64_t merge_every;  // 0 = no per-segment checkpoints
-  uint64_t batch;        // 0 = per-row records; else max kInsertBatch rows
-  uint64_t txn = 0;      // 0 = no grouping; else max ops per transaction
-};
-
-void PrintTo(const PartTruncateParam& p, std::ostream* os) {
-  *os << "seed=" << p.seed << " ops=" << p.ops << " capacity=" << p.capacity
-      << " merge_every=" << p.merge_every << " batch=" << p.batch
-      << " txn=" << p.txn;
-}
-
 class PartitionedCrashTruncate
     : public ::testing::TestWithParam<PartTruncateParam> {};
 
 TEST_P(PartitionedCrashTruncate, RecoversPerSegmentPrefixAtRandomCuts) {
-  const PartTruncateParam p = GetParam();
-  const std::vector<WriteOp> ops =
-      GenerateWriteOps(3, p.ops, kTortureKeyDomain, p.seed);
-  const std::vector<WriteOp> schedule =
-      FrameSchedule(ops, p.batch, p.txn, p.seed);
-  const PartitionedPlan plan = PlanPartitionedSchedule(schedule, p.capacity);
-  const size_t num_segments = plan.planned_records.size();
-
-  TortureScratchDir dir("pcrash");
-  DurableTableOptions options;
-  options.wal.policy = WalSyncPolicy::kEveryCommit;
-  {
-    auto opened = DurablePartitionedTable::Open(dir.path(), TortureSchema(),
-                                                p.capacity, options);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    WriteScheduleOptions sched;
-    sched.merge_every = p.merge_every;
-    RunPartitionedWriteSchedule(&opened.ValueOrDie()->table(), schedule,
-                                sched);
-    ASSERT_EQ(opened.ValueOrDie()->table().num_segments(), num_segments);
-  }
-
-  // Chop the tail segment's newest WAL at a random byte — the crash image
-  // where the globally newest inserts are torn away while later-logged
-  // tombstones in sealed segments survive. (Only the TAIL's WAL may be cut:
-  // sealed segments hold acknowledged history that later rows depend on,
-  // and recovery refuses to lose it — ShortSealedSegmentRefused covers
-  // that.)
-  const std::string tail_dir =
-      dir.path() + "/seg-" + [&] {
-        char buf[8];
-        std::snprintf(buf, sizeof(buf), "%06zu", num_segments - 1);
-        return std::string(buf);
-      }();
-  Rng rng(p.seed ^ 0xca75c4a5ULL);
-  testref::ChopNewestWalSegment(tail_dir, &rng);
-
-  auto reopened = DurablePartitionedTable::Open(dir.path(), TortureSchema(),
-                                                p.capacity, options);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  const auto& dt = *reopened.ValueOrDie();
-  ASSERT_EQ(dt.recovery().segments.size(), num_segments);
-
-  const std::vector<uint64_t> lsns = RecoveredLsns(dt);
-  // Only the cut segment may have lost records; everything else must have
-  // recovered its full planned history.
-  for (size_t s = 0; s < num_segments; ++s) {
-    if (s + 1 < num_segments) {
-      ASSERT_EQ(lsns[s], plan.planned_records[s]) << "segment " << s;
-    } else {
-      ASSERT_LE(lsns[s], plan.planned_records[s]);
-    }
-  }
-  const ReferenceModel model = PartitionedRecoveredModel(plan, lsns);
-  ExpectTableMatchesModel(dt.table(), model, p.seed);
+  RunTruncationTorture(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -400,9 +257,50 @@ INSTANTIATE_TEST_SUITE_P(
                       PartTruncateParam{8909, 900, 128, 200, 32, 4},
                       // Unbounded: the monolithic shape, one segment that
                       // never seals (its manifest round-trips UINT64_MAX).
-                      PartTruncateParam{9010, 900,
-                                        std::numeric_limits<uint64_t>::max(),
-                                        200, 32, 4}));
+                      PartTruncateParam{9010, 900, kUnboundedCapacity, 200,
+                                        32, 4}));
+
+// --- every-byte truncation -------------------------------------------------
+
+TEST(CrashRecoveryBatch, TornBatchRecordVanishesAtomicallyAtEveryCut) {
+  // A batch-heavy schedule in a single WAL file, cut at EVERY byte offset:
+  // at each cut the recovered table must equal the model at the plan's
+  // record boundary — if a torn kInsertBatch ever applied a row prefix,
+  // some cut inside its frame would mismatch.
+  const uint64_t kSeed = 77;
+  SCOPED_TRACE("seed=77");
+  const std::vector<WriteOp> ops =
+      GenerateWriteOps(3, /*num_ops=*/60, kTortureKeyDomain, kSeed);
+  testref::RunEveryByteCutTorture(CoalesceInsertBatches(ops, 8), kSeed,
+                                  "batchcut");
+}
+
+TEST(CrashRecoveryTxn, TornTxnCommitRecordVanishesAtomicallyAtEveryCut) {
+  // A transaction-grouped schedule cut at EVERY byte offset: a torn
+  // kTxnCommit record must vanish atomically — recovery may never land on
+  // a row prefix of a transaction's op set. Every cut inside a commit
+  // frame would otherwise mismatch the model at that boundary.
+  const uint64_t kSeed = 177;
+  SCOPED_TRACE("seed=177");
+  const std::vector<WriteOp> ops =
+      GenerateWriteOps(3, /*num_ops=*/70, kTortureKeyDomain, kSeed);
+  testref::RunEveryByteCutTorture(
+      GroupIntoTransactions(ops, /*max_txn_ops=*/5, kSeed), kSeed, "txncut");
+}
+
+TEST(CrashRecoveryTxn, MixedBatchAndTxnRecordsRecoverAtomicallyAtEveryCut) {
+  // Batch and transaction framings interleaved in one WAL: both multi-op
+  // record types must stay individually atomic at every cut.
+  const uint64_t kSeed = 178;
+  SCOPED_TRACE("seed=178");
+  const std::vector<WriteOp> ops =
+      GenerateWriteOps(3, /*num_ops=*/80, kTortureKeyDomain, kSeed);
+  const std::vector<WriteOp> schedule =
+      GroupIntoTransactions(CoalesceInsertBatches(ops, 8), 4, kSeed);
+  testref::RunEveryByteCutTorture(schedule, kSeed, "mixcut");
+}
+
+// --- rollover-straddling crash ----------------------------------------------
 
 TEST(PartitionedCrashRollover, EmptiedFreshTailRecoversToSealedBoundary) {
   // The rollover-straddling crash: the manifest already lists the fresh
@@ -452,14 +350,16 @@ TEST(PartitionedCrashRollover, EmptiedFreshTailRecoversToSealedBoundary) {
   ASSERT_EQ(again.ValueOrDie()->table().GetKey(0, kCapacity + 4), 904u);
 }
 
+// --- fork + SIGKILL ---------------------------------------------------------
+
 struct PartKillParam {
   uint64_t seed;
   uint64_t ops;
   uint64_t capacity;
   uint64_t merge_every;
   uint64_t max_sleep_ms;  // parent waits up to this long before SIGKILL
-  uint64_t batch;
-  uint64_t txn = 0;  // 0 = no grouping; else max ops per transaction
+  uint64_t batch;         // 0 = per-row records; else max kInsertBatch rows
+  uint64_t txn = 0;       // 0 = no grouping; else max ops per transaction
 };
 
 void PrintTo(const PartKillParam& p, std::ostream* os) {
@@ -468,11 +368,10 @@ void PrintTo(const PartKillParam& p, std::ostream* os) {
       << " txn=" << p.txn;
 }
 
-class PartitionedCrashSigkill
-    : public ::testing::TestWithParam<PartKillParam> {};
-
-TEST_P(PartitionedCrashSigkill, KilledMidWorkloadRecoversExactGlobalPrefix) {
-  const PartKillParam p = GetParam();
+/// The fork + SIGKILL torture body. The kill lands at a random moment —
+/// possibly mid-rollover (a small capacity makes rollovers frequent) or
+/// between a cross-segment transaction's group commits.
+void RunKillTorture(const PartKillParam& p) {
   const std::vector<WriteOp> ops =
       GenerateWriteOps(3, p.ops, kTortureKeyDomain, p.seed);
   const std::vector<WriteOp> schedule =
@@ -483,9 +382,9 @@ TEST_P(PartitionedCrashSigkill, KilledMidWorkloadRecoversExactGlobalPrefix) {
   DurableTableOptions options;
   options.wal.policy = WalSyncPolicy::kEveryCommit;
 
-  // Kill lands at a random moment — possibly mid-rollover (the small
-  // capacity makes rollovers frequent) or between a cross-segment
-  // transaction's group commits.
+  // A batch or transaction acknowledges as a whole (its last logical op
+  // index), so everything the child reports is durable under
+  // sync=every-commit.
   Rng rng(p.seed ^ 0x5161c1a1ULL);
   const uint64_t acked_ops = testref::ForkWriterAndKill(
       [&](const std::function<void(uint64_t)>& report) {
@@ -495,8 +394,7 @@ TEST_P(PartitionedCrashSigkill, KilledMidWorkloadRecoversExactGlobalPrefix) {
         WriteScheduleOptions sched;
         sched.merge_every = p.merge_every;
         sched.on_op_acknowledged = report;
-        RunPartitionedWriteSchedule(&opened.ValueOrDie()->table(), schedule,
-                                    sched);
+        RunWriteSchedule(&opened.ValueOrDie()->table(), schedule, sched);
         return true;
       },
       p.max_sleep_ms, &rng);
@@ -518,9 +416,60 @@ TEST_P(PartitionedCrashSigkill, KilledMidWorkloadRecoversExactGlobalPrefix) {
   ASSERT_TRUE(global_prefix)
       << "recovery left a hole in the global operation order";
   ASSERT_LE(covered, plan.micros.size());
+  // The durability contract: every acknowledged write recovers — for a
+  // batch or transaction, all of it. (Recovering more than was acked is
+  // fine — records can be durable before the ack is observed.)
   ASSERT_GE(covered, plan.micros_after_logical[acked_ops])
       << "recovery lost acknowledged writes (acked=" << acked_ops << ")";
   ExpectTableMatchesModel(dt.table(), model, p.seed);
+}
+
+/// The monolithic parameter sets: the same body at unbounded capacity.
+struct KillParam {
+  uint64_t seed;
+  uint64_t ops;
+  uint64_t merge_every;
+  uint64_t max_sleep_ms;  // parent waits up to this long before SIGKILL
+  uint64_t batch;         // 0 = per-row records; else max kInsertBatch rows
+  uint64_t txn = 0;       // 0 = no grouping; else max ops per transaction
+};
+
+void PrintTo(const KillParam& p, std::ostream* os) {
+  *os << "seed=" << p.seed << " ops=" << p.ops
+      << " merge_every=" << p.merge_every << " batch=" << p.batch
+      << " txn=" << p.txn;
+}
+
+class CrashRecoverySigkill : public ::testing::TestWithParam<KillParam> {};
+
+TEST_P(CrashRecoverySigkill, ChildKilledMidWorkloadLosesNoAcknowledgedOp) {
+  const KillParam p = GetParam();
+  RunKillTorture(PartKillParam{p.seed, p.ops, kUnboundedCapacity,
+                               p.merge_every, p.max_sleep_ms, p.batch, p.txn});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kills, CrashRecoverySigkill,
+    ::testing::Values(KillParam{7001, 2000, 400, 300, 0},
+                      KillParam{7002, 2000, 400, 300, 0},
+                      KillParam{7003, 1500, 0, 200, 0},
+                      KillParam{7004, 2500, 250, 400, 0},
+                      // Mixed row/batch workloads: insert runs coalesced,
+                      // updates/deletes stay per-row records between them.
+                      KillParam{7005, 2000, 400, 300, 64},
+                      KillParam{7006, 1500, 0, 200, 16},
+                      KillParam{7007, 2500, 250, 400, 128},
+                      // Transaction-grouped: acknowledged transactions must
+                      // survive whole; unacknowledged ones may vanish whole.
+                      KillParam{7008, 2000, 400, 300, 0, 6},
+                      KillParam{7009, 1500, 0, 200, 0, 4},
+                      KillParam{7010, 2500, 250, 400, 64, 5}));
+
+class PartitionedCrashSigkill
+    : public ::testing::TestWithParam<PartKillParam> {};
+
+TEST_P(PartitionedCrashSigkill, KilledMidWorkloadRecoversExactGlobalPrefix) {
+  RunKillTorture(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(

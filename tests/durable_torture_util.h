@@ -1,19 +1,22 @@
 // Copyright (c) 2026 The DeltaMerge Authors.
 // Shared machinery for the durability tortures (crash_recovery_test,
-// wal_fuzz_test): the 3-column torture schema, the reference-model prefix
-// replayer, the full differential table-vs-model comparison, and — the key
-// piece for batched logging — a SchedulePlan that predicts, for every WAL
-// record the engine will emit for a (possibly batch-coalesced) schedule,
-// how many *logical* single-row operations are applied once that record is
-// recovered.
+// wal_fuzz_test, txn_test): the 3-column torture schema, the
+// reference-model prefix replayer, the full differential table-vs-model
+// comparison, and — the key piece for batched and transactional logging —
+// a PartitionedPlan that predicts, for every WAL record the engine will
+// emit for a (possibly batch-coalesced or transaction-grouped) schedule,
+// which segment logs it, at which LSN, and which single-row operations
+// it carries.
 //
-// With per-row logging the recovered LSN equals the recovered op count.
-// Batch records break that identity: one LSN may cover 64 rows. The plan
-// restores exactness: it walks the schedule the way RunWriteSchedule does
-// (one record per entry; merges rotate segments but consume no LSN) and
-// charges each record its logical row-delta, so tests can map any
-// recovered LSN back to the precise schedule prefix the table must equal —
-// and a partially applied batch shows up as a mismatch at every offset.
+// Every schedule-driven torture writes through the one front door, a
+// DurablePartitionedTable; the monolithic shape is one segment of
+// unbounded capacity (kUnboundedCapacity). With per-row logging a
+// segment's recovered LSN equals its recovered op count. Batch and
+// transaction records break that identity: one LSN may cover 64 rows.
+// The plan restores exactness: given the per-segment recovered LSNs, the
+// records they cover rebuild the precise reference state the table must
+// equal — and a partially applied batch or transaction shows up as a
+// mismatch at every offset.
 
 #pragma once
 
@@ -27,13 +30,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <ostream>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/table.h"
-#include "persist/durable_table.h"
+#include "persist/durable_partitioned_table.h"
 #include "persist/wal.h"
 #include "reference_model.h"
 #include "util/file_io.h"
@@ -44,6 +48,9 @@ namespace deltamerge {
 namespace testref {
 
 constexpr uint64_t kTortureKeyDomain = 1 << 12;  // small domain -> collisions
+
+/// Segment capacity of the monolithic shape: one segment that never seals.
+constexpr uint64_t kUnboundedCapacity = std::numeric_limits<uint64_t>::max();
 
 inline Schema TortureSchema() {
   Schema schema;
@@ -223,30 +230,6 @@ inline void ExpectTableMatchesModel(const TableT& table,
     }
   }
 }
-
-/// Exact LSN -> logical-op mapping for a schedule run by RunWriteSchedule
-/// on a durable table (one WAL record per schedule entry — DeleteRow
-/// targets generated by GenerateWriteOps are always in range, so every
-/// entry logs; merges rotate segments without consuming an LSN).
-struct SchedulePlan {
-  /// ops_after_lsn[l] = logical ops fully applied once records 1..l are
-  /// recovered ([0] = 0). Recovery lands *between* records never inside
-  /// one — a batch either counts all its rows or none.
-  std::vector<uint64_t> ops_after_lsn;
-  /// Logical ops covered by the newest checkpoint a full run writes (0 if
-  /// merge_every == 0 or no merge fired).
-  uint64_t checkpoint_ops = 0;
-  uint64_t total_records = 0;
-  uint64_t total_ops = 0;
-
-  uint64_t OpsRecovered(uint64_t recovered_lsn) const {
-    EXPECT_LT(recovered_lsn, ops_after_lsn.size())
-        << "recovery claims more records than the schedule ever logged";
-    return recovered_lsn < ops_after_lsn.size()
-               ? ops_after_lsn[recovered_lsn]
-               : ops_after_lsn.back();
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Partitioned schedules: per-segment WAL accounting.
@@ -484,90 +467,54 @@ inline ReferenceModel PartitionedRecoveredModel(
   return model;
 }
 
-inline SchedulePlan PlanSchedule(std::span<const WriteOp> schedule,
-                                 uint64_t merge_every) {
-  SchedulePlan plan;
-  plan.ops_after_lsn.push_back(0);
-  uint64_t logical = 0;
-  uint64_t delta_rows = 0;  // mirrors table->delta_rows()
-  for (size_t i = 0; i < schedule.size(); ++i) {
-    const WriteOp& op = schedule[i];
-    logical += WriteOpLogicalOps(op);
-    plan.ops_after_lsn.push_back(logical);
-    switch (op.kind) {
-      case WriteOpKind::kInsert:
-      case WriteOpKind::kUpdate:
-        delta_rows += 1;
-        break;
-      case WriteOpKind::kInsertBatch:
-        delta_rows += op.batch_rows;
-        break;
-      case WriteOpKind::kTxn:
-        // One kTxnCommit record for the whole op set; each insert/update
-        // sub-op appends one delta row.
-        for (const TxnOp& t : op.txn_ops) {
-          if (t.kind != TxnOp::Kind::kDelete) delta_rows += 1;
-        }
-        break;
-      case WriteOpKind::kDelete:
-        break;
-    }
-    if (merge_every > 0 && (i + 1) % merge_every == 0 && delta_rows > 0) {
-      delta_rows = 0;
-      plan.checkpoint_ops = logical;
-    }
-  }
-  plan.total_records = schedule.size();
-  plan.total_ops = logical;
-  return plan;
-}
-
 /// The every-byte truncation torture: runs `schedule` once on a fresh
-/// DurableTable under sync=every-commit, recording each entry's frame-end
-/// offset in the (single, deterministically named) WAL segment, then
-/// restores the crash image truncated at EVERY byte from full length down
-/// to zero and verifies each cut recovers the table to exactly the
-/// record-boundary logical prefix the surviving frames cover. If a torn
-/// multi-op record (kInsertBatch or kTxnCommit) ever applied a partial
-/// effect, some cut inside its frame would mismatch the model.
-/// `logical_ops` is the per-row schedule `schedule` was derived from (they
-/// share one logical op stream); `tag` names the scratch directory.
-inline void RunEveryByteCutTorture(const std::vector<WriteOp>& logical_ops,
-                                   const std::vector<WriteOp>& schedule,
+/// unbounded DurablePartitionedTable under sync=every-commit, recording
+/// each entry's frame-end offset in its one segment's (single,
+/// deterministically named) WAL file, then restores the crash image
+/// truncated at EVERY byte from full length down to zero and verifies each
+/// cut recovers the table to exactly the record-boundary prefix the
+/// surviving frames cover. If a torn multi-op record (kInsertBatch or
+/// kTxnCommit) ever applied a partial effect, some cut inside its frame
+/// would mismatch the model. `tag` names the scratch directory.
+inline void RunEveryByteCutTorture(const std::vector<WriteOp>& schedule,
                                    uint64_t seed, const std::string& tag) {
-  const SchedulePlan plan = PlanSchedule(schedule, /*merge_every=*/0);
+  const PartitionedPlan plan =
+      PlanPartitionedSchedule(schedule, kUnboundedCapacity);
 
   TortureScratchDir dir(tag);
   persist::DurableTableOptions options;
   options.wal.policy = persist::WalSyncPolicy::kEveryCommit;
-  // The first segment's name is deterministic (LSNs start at 1), so the
+  // The first WAL file's name is deterministic (LSNs start at 1), so the
   // ack callback can record the frame-end offset of every entry:
   // sync=every-commit flushes before acknowledging, making the post-ack
   // file size exactly the cumulative frame boundary.
-  const std::string seg_path = dir.path() + "/wal-00000000000000000001.log";
+  const std::string seg_dir = dir.path() + "/seg-000000";
+  const std::string wal_path = seg_dir + "/wal-00000000000000000001.log";
   std::vector<uint64_t> frame_ends;
   {
-    auto opened =
-        persist::DurableTable::Open(dir.path(), TortureSchema(), options);
+    auto opened = persist::DurablePartitionedTable::Open(
+        dir.path(), TortureSchema(), kUnboundedCapacity, options);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     WriteScheduleOptions sched_options;
     sched_options.on_op_acknowledged = [&](uint64_t) {
-      auto sz = FileSize(seg_path);
+      auto sz = FileSize(wal_path);
       ASSERT_TRUE(sz.ok());
       frame_ends.push_back(sz.ValueOrDie());
     };
     RunWriteSchedule(&opened.ValueOrDie()->table(), schedule, sched_options);
   }
   ASSERT_EQ(frame_ends.size(), schedule.size());
+  ASSERT_EQ(plan.planned_records.size(), 1u);
+  ASSERT_EQ(plan.planned_records[0], schedule.size());
   const uint64_t full = frame_ends.back();
 
   // Keep the pristine crash image in memory: each Open mutates the
   // directory (a recovered_lsn of 0 even recreates — and truncates — the
-  // very segment under test), so every cut must start from a restored
-  // copy, not from whatever the previous iteration left behind.
+  // very file under test), so every cut must start from a restored copy,
+  // not from whatever the previous iteration left behind.
   std::vector<uint8_t> pristine(full);
   {
-    auto in = FileReader::Open(seg_path);
+    auto in = FileReader::Open(wal_path);
     ASSERT_TRUE(in.ok());
     ASSERT_TRUE(in.ValueOrDie()->Read(pristine.data(), pristine.size()).ok());
   }
@@ -575,13 +522,13 @@ inline void RunEveryByteCutTorture(const std::vector<WriteOp>& logical_ops,
   for (uint64_t cut = full + 1; cut-- > 0;) {
     // Restore the crash image truncated at `cut`; drop every other WAL
     // file a previous Open created.
-    auto now = persist::ListWalSegments(dir.path());
+    auto now = persist::ListWalSegments(seg_dir);
     ASSERT_TRUE(now.ok());
     for (const auto& [start_lsn, name] : now.ValueOrDie()) {
-      ASSERT_TRUE(RemoveFile(dir.path() + "/" + name).ok());
+      ASSERT_TRUE(RemoveFile(seg_dir + "/" + name).ok());
     }
     {
-      auto out = FileWriter::Create(seg_path);
+      auto out = FileWriter::Create(wal_path);
       ASSERT_TRUE(out.ok());
       if (cut > 0) {
         ASSERT_TRUE(out.ValueOrDie()->Write(pristine.data(), cut).ok());
@@ -594,15 +541,18 @@ inline void RunEveryByteCutTorture(const std::vector<WriteOp>& logical_ops,
            frame_ends[expect_records] <= cut) {
       ++expect_records;
     }
-    auto reopened =
-        persist::DurableTable::Open(dir.path(), TortureSchema(), options);
+    auto reopened = persist::DurablePartitionedTable::Open(
+        dir.path(), TortureSchema(), kUnboundedCapacity, options);
     ASSERT_TRUE(reopened.ok())
         << "cut at " << cut << ": " << reopened.status().ToString();
     const auto& dt = *reopened.ValueOrDie();
-    ASSERT_EQ(dt.recovery().recovered_lsn, expect_records) << "cut at " << cut;
-    const uint64_t recovered_ops =
-        plan.OpsRecovered(dt.recovery().recovered_lsn);
-    const ReferenceModel model = ModelPrefix(logical_ops, recovered_ops);
+    ASSERT_EQ(dt.recovery().segments.size(), 1u) << "cut at " << cut;
+    const uint64_t lsn = dt.recovery().segments[0].recovered_lsn;
+    ASSERT_EQ(lsn, expect_records) << "cut at " << cut;
+    bool global_prefix = false;
+    const ReferenceModel model =
+        PartitionedRecoveredModel(plan, {lsn}, nullptr, &global_prefix);
+    ASSERT_TRUE(global_prefix) << "cut at " << cut;
     ExpectTableMatchesModel(dt.table(), model, seed);
     if (::testing::Test::HasFatalFailure()) return;
   }

@@ -1049,20 +1049,23 @@ TEST(DurableTableTest, RowAndBatchLoggingRecoverIdenticalTables) {
       3, kOps, testref::kTortureKeyDomain, /*seed=*/0xd1ff);
   const std::vector<WriteOp> batched = CoalesceInsertBatches(ops, 32);
 
+  // Unbounded capacity: each run is one durable segment that never seals.
   auto run = [&](const std::vector<WriteOp>& schedule,
                  const std::string& tag) {
     auto dir = std::make_unique<ScratchDir>(tag);
     DurableTableOptions options;
     options.wal.policy = WalSyncPolicy::kEveryCommit;
     {
-      auto opened = DurableTable::Open(dir->path(), TestSchema(), options);
+      auto opened = persist::DurablePartitionedTable::Open(
+          dir->path(), TestSchema(), testref::kUnboundedCapacity, options);
       EXPECT_TRUE(opened.ok());
       WriteScheduleOptions sched_options;
       sched_options.merge_every = 90;
       RunWriteSchedule(&opened.ValueOrDie()->table(), schedule,
                        sched_options);
     }
-    auto reopened = DurableTable::Open(dir->path(), TestSchema(), options);
+    auto reopened = persist::DurablePartitionedTable::Open(
+        dir->path(), TestSchema(), testref::kUnboundedCapacity, options);
     EXPECT_TRUE(reopened.ok()) << reopened.status().ToString();
     return std::make_pair(std::move(dir),
                           std::move(reopened).ValueOrDie());
@@ -1077,8 +1080,8 @@ TEST(DurableTableTest, RowAndBatchLoggingRecoverIdenticalTables) {
   testref::ExpectTableMatchesModel(batch_dt->table(), model, 0xd1ff);
 
   // ...and are cell-for-cell identical to each other.
-  const Table& a = row_dt->table();
-  const Table& b = batch_dt->table();
+  const PartitionedTable& a = row_dt->table();
+  const PartitionedTable& b = batch_dt->table();
   ASSERT_EQ(a.num_rows(), b.num_rows());
   ASSERT_EQ(a.valid_rows(), b.valid_rows());
   for (uint64_t row = 0; row < a.num_rows(); ++row) {
@@ -1090,8 +1093,10 @@ TEST(DurableTableTest, RowAndBatchLoggingRecoverIdenticalTables) {
   }
   // Both runs exercised real checkpoints, so recovery spliced a batch tail
   // onto checkpointed state rather than replaying from scratch.
-  EXPECT_TRUE(row_dt->recovery().checkpoint_loaded);
-  EXPECT_TRUE(batch_dt->recovery().checkpoint_loaded);
+  ASSERT_EQ(row_dt->recovery().segments.size(), 1u);
+  ASSERT_EQ(batch_dt->recovery().segments.size(), 1u);
+  EXPECT_TRUE(row_dt->recovery().segments[0].checkpoint_loaded);
+  EXPECT_TRUE(batch_dt->recovery().segments[0].checkpoint_loaded);
 }
 
 TEST(DurableTableTest, DaemonMergesProduceCheckpoints) {
@@ -1319,8 +1324,7 @@ TEST(FormatCompatTest, FixedSeedDirectoryIsByteIdenticalAndReopens) {
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     WriteScheduleOptions sched;
     sched.merge_every = 250;  // checkpoints, rotated and dropped WAL segments
-    RunPartitionedWriteSchedule(&opened.ValueOrDie()->table(), schedule,
-                                sched);
+    RunWriteSchedule(&opened.ValueOrDie()->table(), schedule, sched);
   }
 
   // Every file the directory holds, sorted by relative path.

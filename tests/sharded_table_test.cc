@@ -623,7 +623,7 @@ TEST(DurableShardedTable, ReopenRestoresExactStateAndKeepsGrowing) {
     EXPECT_FALSE(t.recovery().manifest_loaded);  // fresh directory
     WriteScheduleOptions sched;
     sched.merge_every = 300;
-    RunPartitionedWriteSchedule(&t.table(), schedule, sched);
+    RunWriteSchedule(&t.table(), schedule, sched);
     // Per-segment checkpoints exist (sealed segments merged).
     EXPECT_GE(t.durable_segment(0).durability().checkpoints_written(), 1u);
   }

@@ -1,7 +1,7 @@
 // Copyright (c) 2026 The DeltaMerge Authors.
 // Tests for Table: the insert-only write path, validity semantics, the
 // three-phase online merge protocol, concurrent inserts during a merge, and
-// the read path's bounds checks.
+// the read and transaction-commit paths' bounds checks.
 
 #include <gtest/gtest.h>
 
@@ -265,6 +265,35 @@ TEST(ReadBoundsDeathTest, PartitionedRowIndex) {
   EXPECT_DEATH(t.GetKey(0, 6), "row id beyond table size");
   EXPECT_DEATH(t.GetKey(0, 8), "global row id beyond table size");
   EXPECT_DEATH(t.GetKey(4, 0), "column index out of range");
+}
+
+// A transaction op list reaches the segment through Table::CommitTxnOps,
+// which checks every insert/update op's key count before it frames, locks
+// or applies anything — with no journal attached nothing else would, and a
+// short key vector would be read past its end. (Suite name kept out of the
+// TSan job's filter: death tests fork.)
+TEST(WriteBoundsDeathTest, CommitTxnOpsKeyCount) {
+  Table t(SmallSchema());
+  t.InsertRow({1, 2, 3, 4});
+  const std::vector<TxnOp> short_insert = {
+      TxnOp{TxnOp::Kind::kInsert, 0, {7}}};
+  const std::vector<TxnOp> long_update = {
+      TxnOp{TxnOp::Kind::kUpdate, 0, {1, 2, 3, 4, 5}}};
+  const std::vector<TxnOp> short_after_full = {
+      TxnOp{TxnOp::Kind::kInsert, 0, {5, 6, 7, 8}},
+      TxnOp{TxnOp::Kind::kUpdate, 0, {}}};
+  const char* kMessage = "txn op key count does not match column count";
+  EXPECT_DEATH((void)t.CommitTxnOps(short_insert, {}), kMessage);
+  EXPECT_DEATH((void)t.CommitTxnOps(long_update, {}), kMessage);
+  EXPECT_DEATH((void)t.CommitTxnOps(short_after_full, {}), kMessage);
+
+  // A delete carries no keys; full-width ops commit.
+  const std::vector<TxnOp> ok = {TxnOp{TxnOp::Kind::kDelete, 0, {}},
+                                 TxnOp{TxnOp::Kind::kInsert, 0, {5, 6, 7, 8}}};
+  ASSERT_TRUE(t.CommitTxnOps(ok, {}).ok());
+  EXPECT_EQ(t.num_rows(), 2u);
+  EXPECT_FALSE(t.IsRowValid(0));
+  EXPECT_EQ(t.GetKey(3, 1), 8u);
 }
 
 }  // namespace

@@ -1,18 +1,19 @@
 // Copyright (c) 2026 The DeltaMerge Authors.
 // Optimistic multi-row transactions (PR 8/9): unit tests for the buffered
-// write / readset-validation / single-commit-timestamp protocol on Table
-// and its global-row-domain sibling on PartitionedTable, the
-// GroupIntoTransactions schedule transform (the differential backbone of
-// the crash tortures), kTxnCommit replay on a DurableTable, and fork-free
-// multi-writer contention tortures (TSan runs this suite): with
-// read-then-update transactions racing on the same rows, exactly one
-// writer wins each row — first-updater-wins, enforced by readset
-// validation under the commit lock. PR 9 adds tortures with writers
-// pinned to disjoint and overlapping segment sets (the per-segment commit
-// lock protocol under fire), a differential guard over the liberal write
-// contract's edges vs the single-row path, and a seed-pinned
-// demonstration that the bench's residual aborts are legitimate
-// first-updater-wins conflicts.
+// write / readset-validation / single-commit-timestamp protocol of
+// PartitionedTable::Transaction — the TableTxn suite on one unbounded
+// segment (the monolithic shape), the PartitionedTxn suite across bounded
+// segments — the GroupIntoTransactions schedule transform (the
+// differential backbone of the crash tortures), kTxnCommit replay on a
+// DurablePartitionedTable, and fork-free multi-writer contention tortures
+// (TSan runs this suite): with read-then-update transactions racing on the
+// same rows, exactly one writer wins each row — first-updater-wins,
+// enforced by readset validation under the commit lock. PR 9 adds
+// tortures with writers pinned to disjoint and overlapping segment sets
+// (the per-segment commit lock protocol under fire), a differential guard
+// over the liberal write contract's edges vs the single-row path, and a
+// seed-pinned demonstration that the bench's residual aborts are
+// legitimate first-updater-wins conflicts.
 
 #include <gtest/gtest.h>
 
@@ -23,28 +24,29 @@
 #include "core/partitioned_table.h"
 #include "core/table.h"
 #include "durable_torture_util.h"
-#include "persist/durable_table.h"
+#include "persist/durable_partitioned_table.h"
 #include "util/random.h"
 #include "workload/query_gen.h"
 
 namespace deltamerge {
 namespace {
 
-using persist::DurableTable;
+using persist::DurablePartitionedTable;
 using persist::DurableTableOptions;
 using persist::WalSyncPolicy;
 using testref::ExpectTableMatchesModel;
 using testref::kTortureKeyDomain;
+using testref::kUnboundedCapacity;
 using testref::ModelPrefix;
 using testref::ReferenceModel;
 using testref::TortureSchema;
 using testref::TortureScratchDir;
 using testref::TortureWidths;
 
-// --- Table::Transaction -----------------------------------------------------
+// --- one unbounded segment (the monolithic shape) --------------------------
 
 TEST(TableTxn, CommitAppliesAllOpsAtomically) {
-  Table t(TortureSchema());
+  PartitionedTable t(TortureSchema(), kUnboundedCapacity);
   t.InsertRow({1, 1, 1});
   t.InsertRow({2, 2, 2});
 
@@ -70,7 +72,7 @@ TEST(TableTxn, CommitAppliesAllOpsAtomically) {
 }
 
 TEST(TableTxn, OpsMayTargetRowsTheTransactionCreates) {
-  Table t(TortureSchema());
+  PartitionedTable t(TortureSchema(), kUnboundedCapacity);
   t.InsertRow({1, 1, 1});
   // Row ids are assigned at commit in buffer order, so the transaction can
   // address its own inserts: the insert below lands at row 1, the update
@@ -86,7 +88,7 @@ TEST(TableTxn, OpsMayTargetRowsTheTransactionCreates) {
 }
 
 TEST(TableTxn, AbortDiscardsEverything) {
-  Table t(TortureSchema());
+  PartitionedTable t(TortureSchema(), kUnboundedCapacity);
   t.InsertRow({1, 1, 1});
   auto txn = t.BeginTransaction();
   txn.Insert({9, 9, 9});
@@ -100,7 +102,7 @@ TEST(TableTxn, AbortDiscardsEverything) {
 }
 
 TEST(TableTxn, ReadsetConflictAbortsWithNothingApplied) {
-  Table t(TortureSchema());
+  PartitionedTable t(TortureSchema(), kUnboundedCapacity);
   t.InsertRow({1, 1, 1});
 
   auto txn = t.BeginTransaction();
@@ -128,7 +130,7 @@ TEST(TableTxn, ReadsetConflictAbortsWithNothingApplied) {
 TEST(TableTxn, EmptyReadsetCommitCannotAbort) {
   // Replay re-commits logged transactions with an empty readset; the
   // deterministic schedules rely on the same property.
-  Table t(TortureSchema());
+  PartitionedTable t(TortureSchema(), kUnboundedCapacity);
   t.InsertRow({1, 1, 1});
   ASSERT_TRUE(t.DeleteRow(0).ok());
   auto txn = t.BeginTransaction();
@@ -142,7 +144,7 @@ TEST(TableTxn, EmptyReadsetCommitCannotAbort) {
 }
 
 TEST(TableTxn, OneCommitTimestampMakesTheTransactionAtomicToSnapshots) {
-  Table t(TortureSchema());
+  PartitionedTable t(TortureSchema(), kUnboundedCapacity);
   t.InsertRow({1, 1, 1});
 
   // Snapshot pinned between two transactions: it must see all of the
@@ -152,7 +154,7 @@ TEST(TableTxn, OneCommitTimestampMakesTheTransactionAtomicToSnapshots) {
   txn1.Insert({2, 2, 2});
   ASSERT_TRUE(txn1.Commit().ok());
 
-  Snapshot snap = t.CreateSnapshot();
+  PartitionedSnapshot snap = t.CreateSnapshot();
 
   auto txn2 = t.BeginTransaction();
   txn2.Delete(1);
@@ -166,7 +168,7 @@ TEST(TableTxn, OneCommitTimestampMakesTheTransactionAtomicToSnapshots) {
   EXPECT_EQ(t.num_rows(), 3u);
 }
 
-// --- PartitionedTable::Transaction ------------------------------------------
+// --- bounded segments: rollovers and cross-segment groups -------------------
 
 TEST(PartitionedTxn, SingleSegmentCommitIsAtomic) {
   PartitionedTable t(TortureSchema(), /*segment_capacity=*/100);
@@ -264,12 +266,12 @@ TEST(TxnSchedule, GroupingPreservesTheLogicalOpStream) {
     EXPECT_GT(txns, 0u);
     EXPECT_EQ(logical, kOps);
 
-    Table table(TortureSchema());
+    PartitionedTable table(TortureSchema(), kUnboundedCapacity);
     RunWriteSchedule(&table, grouped, WriteScheduleOptions{});
     ExpectTableMatchesModel(table, ModelPrefix(ops, kOps), seed);
 
     PartitionedTable sharded(TortureSchema(), /*segment_capacity=*/96);
-    RunPartitionedWriteSchedule(&sharded, grouped, WriteScheduleOptions{});
+    RunWriteSchedule(&sharded, grouped, WriteScheduleOptions{});
     ExpectTableMatchesModel(sharded, ModelPrefix(ops, kOps), seed);
   }
 }
@@ -282,9 +284,10 @@ TEST(DurableTxn, CommittedTransactionsReplayAtomically) {
   options.wal.policy = WalSyncPolicy::kEveryCommit;
   ReferenceModel model(TortureWidths());
   {
-    auto opened = DurableTable::Open(dir.path(), TortureSchema(), options);
+    auto opened = DurablePartitionedTable::Open(dir.path(), TortureSchema(),
+                                                kUnboundedCapacity, options);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    Table& t = opened.ValueOrDie()->table();
+    PartitionedTable& t = opened.ValueOrDie()->table();
     const std::vector<uint64_t> r1{1, 1, 1}, r2{2, 2, 2}, r3{3, 3, 3},
         r4{4, 4, 4};
     t.InsertRow({1, 1, 1});
@@ -311,17 +314,19 @@ TEST(DurableTxn, CommittedTransactionsReplayAtomically) {
     t.InsertRow({4, 4, 4});
     model.Insert(r4);
   }
-  auto reopened = DurableTable::Open(dir.path(), TortureSchema(), options);
+  auto reopened = DurablePartitionedTable::Open(dir.path(), TortureSchema(),
+                                                kUnboundedCapacity, options);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   const auto& dt = *reopened.ValueOrDie();
   // Records: insert + txn-commit + delete + insert; the abort left no trace.
-  EXPECT_EQ(dt.recovery().recovered_lsn, 4u);
+  ASSERT_EQ(dt.recovery().segments.size(), 1u);
+  EXPECT_EQ(dt.recovery().segments[0].recovered_lsn, 4u);
   ExpectTableMatchesModel(dt.table(), model, /*seed=*/1);
 
   // The replayed timestamps keep working: a snapshot pinned now still
   // shields against deletes committed after it.
-  Table& t = reopened.ValueOrDie()->table();
-  Snapshot snap = t.CreateSnapshot();
+  PartitionedTable& t = reopened.ValueOrDie()->table();
+  PartitionedSnapshot snap = t.CreateSnapshot();
   auto txn = t.BeginTransaction();
   txn.Delete(3);
   ASSERT_TRUE(txn.Commit().ok());
@@ -340,7 +345,7 @@ TEST(TxnConcurrency, FirstUpdaterWinsExactlyOncePerRow) {
   constexpr int kThreads = 4;
   constexpr uint64_t kMarkerBase = 1u << 20;
 
-  Table t(TortureSchema());
+  PartitionedTable t(TortureSchema(), kUnboundedCapacity);
   for (uint64_t i = 0; i < kRows; ++i) t.InsertRow({i, i, i});
 
   std::atomic<uint64_t> claims{0};
@@ -565,7 +570,7 @@ TEST(TxnConcurrency, BenchResidualAbortIsAFirstUpdaterWinsConflict) {
   constexpr uint64_t kReadsPerTxn = 8;   // bench probe count
   constexpr uint64_t kPreload = 512;
 
-  Table t(TortureSchema());
+  PartitionedTable t(TortureSchema(), kUnboundedCapacity);
   for (uint64_t i = 0; i < kPreload; ++i) t.InsertRow({i, i, i});
 
   // The bench's per-writer seeds (writer 0 and writer 2 of the 4-writer

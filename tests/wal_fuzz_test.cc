@@ -1,23 +1,25 @@
 // Copyright (c) 2026 The DeltaMerge Authors.
 // WAL corruption fuzzer: a seeded, time-boxed property test.
 //
-// A mixed schedule (checkpoints included) is written once and the table
-// directory snapshotted to memory. Each iteration restores the pristine
-// image, mutates it — random byte flips, random truncation, garbage
-// extension, byte-range duplication (a doubled frame), checkpoint damage,
-// or several at once — and reopens. Two schedule framings run: row/batch
-// records, and multi-row transactions whose kTxnCommit frames must replay
-// whole or vanish whole — never a row prefix. The properties, asserted
-// every time:
+// A mixed schedule (checkpoints included) is written once through an
+// unbounded DurablePartitionedTable — the monolithic shape, one segment
+// that never seals — and that segment's directory (its WAL and checkpoint
+// files; never the manifest) snapshotted to memory. Each iteration
+// restores the pristine image, mutates it — random byte flips, random
+// truncation, garbage extension, byte-range duplication (a doubled frame),
+// checkpoint damage, or several at once — and reopens. Two schedule
+// framings run: row/batch records, and multi-row transactions whose
+// kTxnCommit frames must replay whole or vanish whole — never a row
+// prefix. The properties, asserted every time:
 //
 //   1. recovery never crashes (it returns a Status — ASan/the process both
 //      stay clean; CI runs this suite under ASan);
 //   2. a corrupt record is never applied: if Open succeeds, the recovered
-//      table is *byte-equal to the reference model* at the exact logical-op
-//      prefix its recovered LSN maps to (SchedulePlan) — a flipped bit that
+//      table is *byte-equal to the reference model* at the exact prefix
+//      its recovered LSN covers (PartitionedPlan) — a flipped bit that
 //      slipped past the CRC, a partially applied batch, or a row decoded
 //      from garbage would all break the differential;
-//   3. the result is always a valid prefix — never more ops than the
+//   3. the result is always a valid prefix — never more records than the
 //      schedule logged, and mutations confined to the WAL tail never cost
 //      checkpoint-covered history.
 //
@@ -36,9 +38,9 @@
 #include <string>
 #include <vector>
 
-#include "core/table.h"
+#include "core/partitioned_table.h"
 #include "durable_torture_util.h"
-#include "persist/durable_table.h"
+#include "persist/durable_partitioned_table.h"
 #include "persist/wal.h"
 #include "util/file_io.h"
 #include "util/random.h"
@@ -47,15 +49,16 @@
 namespace deltamerge {
 namespace {
 
-using persist::DurableTable;
+using persist::DurablePartitionedTable;
 using persist::DurableTableOptions;
 using persist::WalSyncPolicy;
 using testref::ExpectTableMatchesModel;
 using testref::kTortureKeyDomain;
-using testref::ModelPrefix;
-using testref::PlanSchedule;
+using testref::kUnboundedCapacity;
+using testref::PartitionedPlan;
+using testref::PartitionedRecoveredModel;
+using testref::PlanPartitionedSchedule;
 using testref::ReferenceModel;
-using testref::SchedulePlan;
 using testref::TortureSchema;
 using testref::TortureScratchDir;
 
@@ -183,14 +186,13 @@ std::string MutateFile(const std::string& path, Rng* rng) {
 }
 
 /// The fuzz loop shared by every schedule framing: write `schedule` once
-/// (checkpoints every `merge_every` entries), snapshot the directory, then
-/// mutate-and-reopen until the time budget (default 8 s, DM_FUZZ_MS to
-/// override) or the iteration cap runs out — keeps the ctest entry bounded
-/// under sanitizers while soaking longer locally via DM_FUZZ_MS=60000.
-/// `logical_ops` is the per-row schedule the framing was derived from;
-/// `base_seed` drives the mutation stream and prints on every failure.
-void RunWalFuzz(const std::vector<WriteOp>& logical_ops,
-                const std::vector<WriteOp>& schedule, uint64_t merge_every,
+/// (checkpoints every `merge_every` entries), snapshot the segment
+/// directory, then mutate-and-reopen until the time budget (default 8 s,
+/// DM_FUZZ_MS to override) or the iteration cap runs out — keeps the ctest
+/// entry bounded under sanitizers while soaking longer locally via
+/// DM_FUZZ_MS=60000. `base_seed` drives the mutation stream and prints on
+/// every failure.
+void RunWalFuzz(const std::vector<WriteOp>& schedule, uint64_t merge_every,
                 uint64_t base_seed, const std::string& tag) {
   SCOPED_TRACE(::testing::Message() << "mutation base_seed=" << base_seed);
   const char* budget_env = std::getenv("DM_FUZZ_MS");
@@ -199,20 +201,30 @@ void RunWalFuzz(const std::vector<WriteOp>& logical_ops,
           ? std::strtoull(budget_env, nullptr, 10)
           : 8000;
   const uint64_t max_iters = 400;
-  const SchedulePlan plan = PlanSchedule(schedule, merge_every);
+  const PartitionedPlan plan =
+      PlanPartitionedSchedule(schedule, kUnboundedCapacity);
+  ASSERT_EQ(plan.planned_records.size(), 1u);
 
   TortureScratchDir dir(tag);
+  const std::string seg_dir = dir.path() + "/seg-000000";
   DurableTableOptions options;
   options.wal.policy = WalSyncPolicy::kEveryCommit;
+  // Replay LSN of the newest installed checkpoint: the records below it
+  // are checkpoint-covered history.
+  uint64_t checkpoint_lsn = 0;
   {
-    auto opened = DurableTable::Open(dir.path(), TortureSchema(), options);
+    auto opened = DurablePartitionedTable::Open(
+        dir.path(), TortureSchema(), kUnboundedCapacity, options);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     WriteScheduleOptions sched_options;
     sched_options.merge_every = merge_every;
     RunWriteSchedule(&opened.ValueOrDie()->table(), schedule, sched_options);
-    EXPECT_GE(opened.ValueOrDie()->durability().checkpoints_written(), 1u);
+    const persist::DurabilityManager& durability =
+        opened.ValueOrDie()->durable_segment(0).durability();
+    EXPECT_GE(durability.checkpoints_written(), 1u);
+    checkpoint_lsn = durability.installed_replay_lsn();
   }
-  const DirImage pristine = SnapshotDir(dir.path());
+  const DirImage pristine = SnapshotDir(seg_dir);
   ASSERT_GE(pristine.size(), 2u);  // >= 1 checkpoint + >= 1 WAL segment
 
   Rng rng(base_seed);
@@ -224,7 +236,7 @@ void RunWalFuzz(const std::vector<WriteOp>& logical_ops,
             .count() > static_cast<int64_t>(budget_ms)) {
       break;
     }
-    RestoreDir(dir.path(), pristine);
+    RestoreDir(seg_dir, pristine);
     if (::testing::Test::HasFatalFailure()) return;
 
     // 1..3 mutations, each on a random file of the image.
@@ -234,11 +246,11 @@ void RunWalFuzz(const std::vector<WriteOp>& logical_ops,
     std::string what;
     for (uint64_t m = 0; m < mutations; ++m) {
       const std::string& victim = names[rng.Below(names.size())];
-      what += victim + ": " +
-              MutateFile(dir.path() + "/" + victim, &rng) + "; ";
+      what += victim + ": " + MutateFile(seg_dir + "/" + victim, &rng) + "; ";
     }
 
-    auto reopened = DurableTable::Open(dir.path(), TortureSchema(), options);
+    auto reopened = DurablePartitionedTable::Open(
+        dir.path(), TortureSchema(), kUnboundedCapacity, options);
     if (!reopened.ok()) {
       // Refusing loudly is a legal outcome (e.g. the only checkpoint is
       // corrupt and its history already dropped). Silently wrong is not.
@@ -247,19 +259,19 @@ void RunWalFuzz(const std::vector<WriteOp>& logical_ops,
     }
     ++opened_ok;
     const auto& dt = *reopened.ValueOrDie();
-    const uint64_t recovered_ops =
-        plan.OpsRecovered(dt.recovery().recovered_lsn);
-    ASSERT_LE(recovered_ops, plan.total_ops) << "iter " << iter << ": " << what;
+    ASSERT_EQ(dt.recovery().segments.size(), 1u);
+    const uint64_t lsn = dt.recovery().segments[0].recovered_lsn;
+    ASSERT_LE(lsn, plan.planned_records[0]) << "iter " << iter << ": " << what;
     // A successful open means some checkpoint validated, and mutations can
     // only reach the surviving (post-checkpoint) files — so the
-    // checkpoint-covered history must be fully present.
-    ASSERT_GE(recovered_ops, plan.checkpoint_ops)
-        << "iter " << iter << ": " << what;
-    const ReferenceModel model = ModelPrefix(logical_ops, recovered_ops);
+    // checkpoint-covered history (records below its replay LSN) must be
+    // fully present.
+    ASSERT_GE(lsn + 1, checkpoint_lsn) << "iter " << iter << ": " << what;
+    const ReferenceModel model = PartitionedRecoveredModel(plan, {lsn});
     ExpectTableMatchesModel(dt.table(), model, /*seed=*/iter);
     if (::testing::Test::HasFatalFailure()) {
       ADD_FAILURE() << "iter " << iter << " mutations: " << what
-                    << " recovered_lsn=" << dt.recovery().recovered_lsn;
+                    << " recovered_lsn=" << lsn;
       return;
     }
   }
@@ -278,7 +290,7 @@ TEST(WalFuzzTest, MutatedSegmentsAlwaysRecoverAValidPrefixOrFailLoudly) {
   const std::vector<WriteOp> ops =
       GenerateWriteOps(3, kOps, kTortureKeyDomain, /*seed=*/0xf522);
   SCOPED_TRACE("schedule seed=0xf522");
-  RunWalFuzz(ops, CoalesceInsertBatches(ops, kBatch), kMergeEvery,
+  RunWalFuzz(CoalesceInsertBatches(ops, kBatch), kMergeEvery,
              /*base_seed=*/0xfa22ed, "fuzz");
 }
 
@@ -288,14 +300,14 @@ TEST(WalFuzzTest, MutatedTxnCommitFramesReplayWholeOrVanishWhole) {
   // duplication, which doubles whole commit frames — replay must not
   // apply an LSN twice). A bit-flipped, truncated, or duplicated commit
   // record must contribute all of its ops or none: the differential
-  // against the per-row model at the plan's record-boundary prefix fails
-  // on any row-prefix application.
+  // against the model at the plan's record-boundary prefix fails on any
+  // row-prefix application.
   const uint64_t kOps = 500;
   const uint64_t kMergeEvery = 120;
   const std::vector<WriteOp> ops =
       GenerateWriteOps(3, kOps, kTortureKeyDomain, /*seed=*/0x7a22);
   SCOPED_TRACE("schedule seed=0x7a22");
-  RunWalFuzz(ops, GroupIntoTransactions(ops, /*max_txn_ops=*/6, 0x7a22),
+  RunWalFuzz(GroupIntoTransactions(ops, /*max_txn_ops=*/6, 0x7a22),
              kMergeEvery, /*base_seed=*/0x7a22edULL, "txnfuzz");
 }
 
