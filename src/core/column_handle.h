@@ -11,7 +11,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/merge_algorithms.h"
 #include "core/merge_types.h"
@@ -37,6 +39,11 @@ class ColumnBase {
 
   // --- writes (row id comes from the table; values are ordering keys) ---
   virtual uint64_t InsertKey(uint64_t key) = 0;
+  /// Appends column `col` of a row-major batch of `num_columns`-key rows as
+  /// one batch insert: the same contents as InsertKey on each row's key in
+  /// order. Returns the first new row id.
+  virtual uint64_t InsertKeys(std::span<const uint64_t> row_major_keys,
+                              size_t col, size_t num_columns) = 0;
 
   // --- reads ---
   /// The integer ordering key stored at `row` (across all partitions).
@@ -97,6 +104,15 @@ class ColumnHandle final : public ColumnBase {
 
   uint64_t InsertKey(uint64_t key) override {
     return column_.Insert(Value::FromKey(key));
+  }
+
+  uint64_t InsertKeys(std::span<const uint64_t> row_major_keys, size_t col,
+                      size_t num_columns) override {
+    std::vector<Value> values(row_major_keys.size() / num_columns);
+    for (size_t r = 0; r < values.size(); ++r) {
+      values[r] = Value::FromKey(row_major_keys[r * num_columns + col]);
+    }
+    return column_.InsertBatch(values);
   }
 
   uint64_t GetKey(uint64_t row) const override {

@@ -136,11 +136,12 @@ class Table {
   /// Appends a batch of rows column-parallel: each column applies the whole
   /// batch as one task on `queue` (the delta-update parallelization of §7.2:
   /// "we parallelize over the different columns being updated"). With a null
-  /// queue the batch applies serially. With a journal attached the batch is
-  /// durable as ONE kInsertBatch WAL record — framed (memcpy + CRC) before
-  /// the table lock is taken, applied atomically on recovery (a torn batch
-  /// record vanishes entirely), acknowledged by a single group-committed
-  /// sync covering every row.
+  /// queue the batch applies serially. Either way each column takes its
+  /// keys as one batch insert (ColumnBase::InsertKeys). With a journal
+  /// attached the batch is durable as ONE kInsertBatch WAL record — framed
+  /// (memcpy + CRC) before the table lock is taken, applied atomically on
+  /// recovery (a torn batch record vanishes entirely), acknowledged by a
+  /// single group-committed sync covering every row.
   uint64_t InsertRows(std::span<const uint64_t> row_major_keys,
                       uint64_t num_rows, TaskQueue* queue = nullptr)
       DM_EXCLUDES(mu_);

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "storage/delta_partition.h"
@@ -60,6 +61,13 @@ class Column {
   uint64_t Insert(const Value& v) {
     const uint64_t base = main_->size() + frozen_size();
     return base + delta_->Insert(v);
+  }
+
+  /// Appends `vs` to the active delta as one batch; returns the first new
+  /// global row id.
+  uint64_t InsertBatch(std::span<const Value> vs) {
+    const uint64_t base = main_->size() + frozen_size();
+    return base + delta_->InsertBatch(vs);
   }
 
   uint64_t main_size() const { return main_->size(); }
@@ -116,8 +124,8 @@ class Column {
     retired.frozen = std::move(frozen_);
     retired.active = std::move(delta_);
     delta_ = std::make_unique<DeltaPartition<W>>();
-    for (const auto& v : retired.frozen->values()) delta_->Insert(v);
-    for (const auto& v : retired.active->values()) delta_->Insert(v);
+    delta_->InsertBatch(retired.frozen->values());
+    delta_->InsertBatch(retired.active->values());
     return retired;
   }
 

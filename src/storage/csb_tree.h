@@ -21,15 +21,26 @@
 // Values equal to an internal separator key route to the right child
 // (separators are the first key of the right sibling at split time).
 //
+// Batch inserts (InsertBatch) sort the batch's (value, tuple id) pairs once,
+// then either build an empty tree bottom-up — full leaves, full internal
+// nodes, every level one contiguous run of groups — or descend a non-empty
+// tree once per distinct value and append that value's whole run of tuple
+// ids. Either way each postings list stays in insertion order, so a batch
+// leaves the same keys and postings as inserting its values one by one.
+//
 // Thread-safety: none. A delta partition has a single writer; the merge reads
 // a frozen tree.
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <vector>
 
+#include "storage/radix_sort.h"
 #include "util/fixed_value.h"
 #include "util/macros.h"
 #include "util/thread_annotations.h"
@@ -93,21 +104,33 @@ class CsbTree {
   /// Records that `v` was inserted at tuple position `tuple_id`. Creates the
   /// key if new, else appends to its postings list.
   void Insert(const Value& v, uint32_t tuple_id) {
-    Split split;
-    if (InsertRec(root_, 0, v, tuple_id, &split)) {
-      // Root split: the two halves become a contiguous group under a new root.
-      const uint32_t group = AllocGroup(2);
-      nodes_[group] = split.left;
-      nodes_[group + 1] = split.right;
-      const uint32_t new_root = AllocGroup(1);
-      Node& r = nodes_[new_root];
-      r.internal.first_child = group;
-      r.internal.count = 1;
-      r.internal.keys[0] = split.separator;
-      root_ = new_root;
-      ++height_;
-    }
+    const uint32_t link = static_cast<uint32_t>(link_tids_.size());
+    link_tids_.push_back(tuple_id);
+    link_nexts_.push_back(kNil);
+    InsertChain(v, PList{link, link, 1});
     ++total_tuples_;
+  }
+
+  /// Records values[i] at tuple position first_tid + i for every i: the same
+  /// keys and postings as calling Insert(values[i], first_tid + i) for i in
+  /// order. Sorts the batch once (unless already ascending), then bulk-loads
+  /// an empty tree or descends once per distinct value of a non-empty one.
+  void InsertBatch(std::span<const Value> values, uint32_t first_tid) {
+    if (values.empty()) return;
+    DM_CHECK_MSG(values.size() - 1 <= UINT32_MAX - first_tid,
+                 "batch tuple ids overflow 32 bits");
+    const uint32_t n = static_cast<uint32_t>(values.size());
+    if (std::is_sorted(values.begin(), values.end())) {
+      InsertSorted(
+          n, [&](uint32_t i) -> const Value& { return values[i]; },
+          [&](uint32_t i) { return first_tid + i; });
+      return;
+    }
+    const std::unique_ptr<ValueTid<W>[]> sorted =
+        RadixSortByValue(values, first_tid);
+    InsertSorted(
+        n, [&](uint32_t i) -> const Value& { return sorted[i].value; },
+        [&](uint32_t i) { return sorted[i].tid; });
   }
 
   /// Number of distinct keys (|U_D|).
@@ -212,11 +235,18 @@ class CsbTree {
   static_assert(sizeof(Node) == kCacheLineSize);
 
   /// Postings list head/tail/length; tuple ids chain through link_nexts_.
+  /// Also names a chain of fresh links not yet attached to any key.
   struct PList {
     uint32_t head;
     uint32_t tail;
     uint32_t count;
   };
+
+  /// Keys per bulk-loaded leaf and children per bulk-loaded internal node:
+  /// full. A batch-built delta is mostly frozen and merged as it stands,
+  /// and a later insert that lands in a full node splits it as usual.
+  static constexpr size_t kBulkLeafFill = kLeafKeys;
+  static constexpr size_t kBulkFanout = kInternalKeys + 1;
 
   struct Split {
     Value separator;
@@ -237,22 +267,118 @@ class CsbTree {
                           lists_[list_id].head);
   }
 
-  uint32_t NewPList(uint32_t tid) {
-    const uint32_t link = static_cast<uint32_t>(link_tids_.size());
-    link_tids_.push_back(tid);
-    link_nexts_.push_back(kNil);
-    lists_.push_back(PList{link, link, 1});
+  uint32_t NewPList(const PList& chain) {
+    lists_.push_back(chain);
     return static_cast<uint32_t>(lists_.size() - 1);
   }
 
-  void AppendPList(uint32_t list_id, uint32_t tid) {
-    const uint32_t link = static_cast<uint32_t>(link_tids_.size());
-    link_tids_.push_back(tid);
-    link_nexts_.push_back(kNil);
+  void AppendPList(uint32_t list_id, const PList& chain) {
     PList& pl = lists_[list_id];
-    link_nexts_[pl.tail] = link;
-    pl.tail = link;
-    ++pl.count;
+    link_nexts_[pl.tail] = chain.head;
+    pl.tail = chain.tail;
+    pl.count += chain.count;
+  }
+
+  /// Inserts key `v` with the postings `chain`, or appends `chain` to `v`'s
+  /// postings if the key exists. One root-to-leaf descent.
+  void InsertChain(const Value& v, const PList& chain) {
+    Split split;
+    if (InsertRec(root_, 0, v, chain, &split)) {
+      // Root split: the two halves become a contiguous group under a new root.
+      const uint32_t group = AllocGroup(2);
+      nodes_[group] = split.left;
+      nodes_[group + 1] = split.right;
+      const uint32_t new_root = AllocGroup(1);
+      Node& r = nodes_[new_root];
+      r.internal.first_child = group;
+      r.internal.count = 1;
+      r.internal.keys[0] = split.separator;
+      root_ = new_root;
+      ++height_;
+    }
+  }
+
+  /// Inserts n (value, tuple id) pairs given in ascending value order (ties
+  /// in insertion order). Each run of equal values becomes one chain of
+  /// consecutive links; an empty tree is then built bottom-up from the
+  /// chains, a non-empty one takes one InsertChain per chain.
+  template <typename ValueAt, typename TidAt>
+  void InsertSorted(uint32_t n, ValueAt&& value_at, TidAt&& tid_at) {
+    const uint32_t base = static_cast<uint32_t>(link_tids_.size());
+    link_tids_.resize(base + static_cast<size_t>(n));
+    link_nexts_.resize(base + static_cast<size_t>(n));
+    std::vector<uint32_t> run_ends;  // the last position of each run
+    for (uint32_t i = 0; i < n; ++i) {
+      link_tids_[base + i] = tid_at(i);
+      const bool run_end = i + 1 == n || !(value_at(i + 1) == value_at(i));
+      link_nexts_[base + i] = run_end ? kNil : base + i + 1;
+      if (run_end) run_ends.push_back(i);
+    }
+    const bool bulk = unique_keys_ == 0;
+    if (bulk) lists_.reserve(run_ends.size());
+    uint32_t run_start = 0;
+    for (const uint32_t run_end : run_ends) {
+      const PList chain{base + run_start, base + run_end,
+                        run_end + 1 - run_start};
+      if (bulk) {
+        lists_.push_back(chain);
+      } else {
+        InsertChain(value_at(run_end), chain);
+      }
+      run_start = run_end + 1;
+    }
+    if (bulk) {
+      BulkLoad(run_ends.size(), [&](uint64_t k) -> const Value& {
+        return value_at(run_ends[k]);
+      });
+    }
+    total_tuples_ += n;
+  }
+
+  /// Replaces the empty tree by one holding the u distinct ascending keys
+  /// key_at(0..u-1), key k owning postings list k. Leaves are filled to
+  /// kBulkLeafFill and internal nodes to kBulkFanout children, keys spread
+  /// evenly so no node is left nearly empty. Each level is one contiguous
+  /// block of nodes, so every parent's children already form the
+  /// contiguous group CSB+ requires.
+  template <typename KeyAt>
+  void BulkLoad(uint64_t u, KeyAt&& key_at) {
+    DM_DCHECK(unique_keys_ == 0 && u > 0 && lists_.size() == u);
+    uint64_t level_nodes = (u + kBulkLeafFill - 1) / kBulkLeafFill;
+    nodes_.clear();
+    uint32_t level_first = AllocGroup(static_cast<uint32_t>(level_nodes));
+    // mins[j]: the smallest key under node j of the level last built.
+    std::vector<Value> mins(level_nodes);
+    for (uint64_t j = 0; j < level_nodes; ++j) {
+      const uint64_t lo = u * j / level_nodes;
+      const uint64_t hi = u * (j + 1) / level_nodes;
+      Leaf& leaf = nodes_[level_first + j].leaf;
+      leaf.count = static_cast<uint16_t>(hi - lo);
+      for (uint64_t k = lo; k < hi; ++k) {
+        leaf.keys[k - lo] = key_at(k);
+        leaf.postings[k - lo] = static_cast<uint32_t>(k);
+      }
+      mins[j] = leaf.keys[0];
+    }
+    height_ = 1;
+    while (level_nodes > 1) {
+      const uint64_t parents = (level_nodes + kBulkFanout - 1) / kBulkFanout;
+      const uint32_t parent_first = AllocGroup(static_cast<uint32_t>(parents));
+      for (uint64_t p = 0; p < parents; ++p) {
+        const uint64_t c0 = level_nodes * p / parents;
+        const uint64_t c1 = level_nodes * (p + 1) / parents;
+        Internal& in = nodes_[parent_first + p].internal;
+        in.first_child = level_first + static_cast<uint32_t>(c0);
+        in.count = static_cast<uint16_t>(c1 - c0 - 1);
+        for (uint64_t c = c0 + 1; c < c1; ++c) in.keys[c - c0 - 1] = mins[c];
+        mins[p] = mins[c0];  // p <= c0: the slot is already consumed
+      }
+      level_first = parent_first;
+      level_nodes = parents;
+      ++height_;
+    }
+    root_ = level_first;
+    unique_keys_ = u;
   }
 
   /// Child index for value `v`: first separator > v (equal keys go right).
@@ -286,10 +412,10 @@ class CsbTree {
   /// Recursive insert. Returns true iff the node at `node_idx` split, in
   /// which case *out holds the separator and both halves by value (the caller
   /// owns placing them into a fresh contiguous group).
-  bool InsertRec(uint32_t node_idx, int depth, const Value& v, uint32_t tid,
-                 Split* out) {
+  bool InsertRec(uint32_t node_idx, int depth, const Value& v,
+                 const PList& chain, Split* out) {
     if (depth == height_ - 1) {
-      return InsertLeaf(node_idx, v, tid, out);
+      return InsertLeaf(node_idx, v, chain, out);
     }
 
     // Copy routing state; the recursive call may reallocate the arena.
@@ -297,7 +423,7 @@ class CsbTree {
     const uint32_t child = nodes_[node_idx].internal.first_child + slot;
 
     Split child_split;
-    if (!InsertRec(child, depth + 1, v, tid, &child_split)) {
+    if (!InsertRec(child, depth + 1, v, chain, &child_split)) {
       return false;
     }
 
@@ -373,17 +499,17 @@ class CsbTree {
     return true;
   }
 
-  bool InsertLeaf(uint32_t node_idx, const Value& v, uint32_t tid,
+  bool InsertLeaf(uint32_t node_idx, const Value& v, const PList& chain,
                   Split* out) {
     {
       Leaf& leaf = nodes_[node_idx].leaf;
       const int pos = LeafLowerBound(leaf, v);
       if (pos < leaf.count && leaf.keys[pos] == v) {
-        AppendPList(leaf.postings[pos], tid);
+        AppendPList(leaf.postings[pos], chain);
         return false;
       }
       if (leaf.count < static_cast<int>(kLeafKeys)) {
-        const uint32_t list_id = NewPList(tid);
+        const uint32_t list_id = NewPList(chain);
         Leaf& l = nodes_[node_idx].leaf;  // re-acquire: NewPList is arena-safe
         for (int k = l.count; k > pos; --k) {
           l.keys[k] = l.keys[k - 1];
@@ -398,7 +524,7 @@ class CsbTree {
     }
 
     // Leaf full: split into two halves with the new key placed in order.
-    const uint32_t list_id = NewPList(tid);
+    const uint32_t list_id = NewPList(chain);
     const Leaf leaf = nodes_[node_idx].leaf;  // snapshot
     const int pos = LeafLowerBound(leaf, v);
 

@@ -1,11 +1,14 @@
 // Copyright (c) 2026 The DeltaMerge Authors.
 // Tests for the CSB+ tree: node geometry, insertion/splits, duplicate
-// postings, ordered traversal, range pruning, and randomized equivalence
-// against std::map<key, vector<tid>>.
+// postings, ordered traversal, range pruning, randomized equivalence
+// against std::map<key, vector<tid>>, and the batch insert's equivalence
+// to per-key inserts.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "storage/csb_tree.h"
@@ -221,6 +224,210 @@ INSTANTIATE_TEST_SUITE_P(
                       EquivalenceParam{5000, 500},      // heavy duplicates
                       EquivalenceParam{20000, 20000},   // ~63% unique
                       EquivalenceParam{3000, 1}));      // single value
+
+// --- batch insert: differential against per-key Insert -----------------------
+
+enum class BatchShape { kSingle, kAllDuplicates, kAscendingUnique,
+                        kDescending, kRandom };
+
+/// A value from [0, domain); for W = 16 with `high_word`, also a non-zero
+/// high word, so the sort's upper eight digits vary too.
+template <size_t W>
+FixedValue<W> DrawValue(Rng& rng, uint64_t domain, bool high_word) {
+  if constexpr (W == 16) {
+    if (high_word) {
+      return FixedValue<16>::FromKeyPair(1 + rng.Below(3), rng.Below(domain));
+    }
+  }
+  return FixedValue<W>::FromKey(rng.Below(domain));
+}
+
+template <size_t W>
+std::vector<FixedValue<W>> MakeBatch(BatchShape shape, uint64_t n,
+                                     uint64_t domain, bool high_word,
+                                     Rng& rng) {
+  std::vector<FixedValue<W>> batch;
+  switch (shape) {
+    case BatchShape::kSingle:
+      batch.push_back(DrawValue<W>(rng, domain, high_word));
+      break;
+    case BatchShape::kAllDuplicates:
+      batch.assign(n, DrawValue<W>(rng, domain, high_word));
+      break;
+    case BatchShape::kAscendingUnique:
+    case BatchShape::kDescending: {
+      // Distinct values, spread over the domain and beyond it.
+      const uint64_t start = rng.Below(domain);
+      for (uint64_t i = 0; i < n; ++i) {
+        batch.push_back(FixedValue<W>::FromKey(start + 3 * i));
+      }
+      if (shape == BatchShape::kDescending) {
+        std::reverse(batch.begin(), batch.end());
+        // Repeat a run so descending input also carries duplicates.
+        const std::vector<FixedValue<W>> head(batch.begin(),
+                                              batch.begin() + n / 4);
+        batch.insert(batch.end(), head.begin(), head.end());
+      }
+      break;
+    }
+    case BatchShape::kRandom:
+      for (uint64_t i = 0; i < n; ++i) {
+        batch.push_back(DrawValue<W>(rng, domain, high_word));
+      }
+      break;
+  }
+  return batch;
+}
+
+template <size_t W>
+using TreeDump =
+    std::vector<std::pair<FixedValue<W>, std::vector<uint32_t>>>;
+
+std::vector<uint32_t> Tids(PostingsCursor c) {
+  std::vector<uint32_t> tids;
+  for (; !c.Done(); c.Advance()) tids.push_back(c.TupleId());
+  return tids;
+}
+
+template <size_t W>
+TreeDump<W> DumpSorted(const CsbTree<W>& tree) {
+  TreeDump<W> out;
+  tree.ForEachSorted([&](const FixedValue<W>& v, PostingsCursor c) {
+    out.emplace_back(v, Tids(c));
+  });
+  return out;
+}
+
+template <size_t W>
+TreeDump<W> DumpRange(const CsbTree<W>& tree, const FixedValue<W>& lo,
+                      const FixedValue<W>& hi) {
+  TreeDump<W> out;
+  tree.ForEachInRange(lo, hi, [&](const FixedValue<W>& v, PostingsCursor c) {
+    out.emplace_back(v, Tids(c));
+  });
+  return out;
+}
+
+/// Everything a reader can observe of `batch` against `per_key`, which
+/// received the same values at the same tuple ids one Insert at a time.
+template <size_t W>
+void ExpectSameTree(const CsbTree<W>& per_key, const CsbTree<W>& batch,
+                    uint64_t domain, bool high_word, Rng& rng) {
+  ASSERT_EQ(batch.unique_keys(), per_key.unique_keys());
+  ASSERT_EQ(batch.total_tuples(), per_key.total_tuples());
+  const TreeDump<W> expected = DumpSorted(per_key);
+  ASSERT_EQ(DumpSorted(batch), expected);
+  // Present keys: every stored value; absent keys: draws from twice the
+  // domain, about half of which miss.
+  std::vector<FixedValue<W>> probes;
+  for (const auto& [v, tids] : expected) probes.push_back(v);
+  for (int i = 0; i < 200; ++i) {
+    probes.push_back(DrawValue<W>(rng, 2 * domain + 1, high_word));
+  }
+  for (const FixedValue<W>& v : probes) {
+    EXPECT_EQ(batch.CountOf(v), per_key.CountOf(v)) << v.ToString();
+    EXPECT_EQ(Tids(batch.Find(v)), Tids(per_key.Find(v))) << v.ToString();
+  }
+  for (int i = 0; i < 100; ++i) {
+    FixedValue<W> lo = DrawValue<W>(rng, 2 * domain + 1, high_word);
+    FixedValue<W> hi = DrawValue<W>(rng, 2 * domain + 1, high_word);
+    if (hi < lo) std::swap(lo, hi);
+    EXPECT_EQ(DumpRange(batch, lo, hi), DumpRange(per_key, lo, hi));
+  }
+  EXPECT_LE(batch.live_node_bytes(), batch.memory_bytes());
+  EXPECT_LE(per_key.live_node_bytes(), per_key.memory_bytes());
+}
+
+/// Builds one tree per key and one by batches from the same values: an
+/// optional prefill batch (so the main batch meets a non-empty tree), the
+/// main batch, then per-key inserts into both (splitting bulk-loaded full
+/// leaves). Compares after each step.
+template <size_t W>
+void BatchMatchesPerKey(BatchShape shape, uint64_t domain, bool prefill,
+                        bool high_word, uint64_t seed) {
+  SCOPED_TRACE(testing::Message()
+               << "W=" << W << " shape=" << static_cast<int>(shape)
+               << " domain=" << domain << " prefill=" << prefill
+               << " high_word=" << high_word);
+  Rng rng(seed);
+  CsbTree<W> per_key;
+  CsbTree<W> batch;
+  uint32_t next_tid = 0;
+  const auto insert_batch = [&](const std::vector<FixedValue<W>>& values) {
+    for (size_t i = 0; i < values.size(); ++i) {
+      per_key.Insert(values[i], next_tid + static_cast<uint32_t>(i));
+    }
+    batch.InsertBatch(values, next_tid);
+    next_tid += static_cast<uint32_t>(values.size());
+  };
+  if (prefill) {
+    insert_batch(MakeBatch<W>(BatchShape::kRandom, 700, domain, high_word,
+                              rng));
+    ExpectSameTree(per_key, batch, domain, high_word, rng);
+  }
+  insert_batch(MakeBatch<W>(shape, 3000, domain, high_word, rng));
+  ExpectSameTree(per_key, batch, domain, high_word, rng);
+  for (int i = 0; i < 500; ++i) {
+    const FixedValue<W> v = DrawValue<W>(rng, 2 * domain + 1, high_word);
+    per_key.Insert(v, next_tid);
+    batch.Insert(v, next_tid);
+    ++next_tid;
+  }
+  ExpectSameTree(per_key, batch, domain, high_word, rng);
+}
+
+template <size_t W>
+void BatchMatchesPerKeyAllShapes(uint64_t seed) {
+  for (const bool prefill : {false, true}) {
+    for (const bool high_word : {false, true}) {
+      if (high_word && W != 16) continue;
+      for (const BatchShape shape :
+           {BatchShape::kSingle, BatchShape::kAllDuplicates,
+            BatchShape::kAscendingUnique, BatchShape::kDescending}) {
+        BatchMatchesPerKey<W>(shape, 1000, prefill, high_word, seed++);
+      }
+      for (const uint64_t domain : {32ULL, 1000ULL, 50000ULL, 1ULL << 20}) {
+        BatchMatchesPerKey<W>(BatchShape::kRandom, domain, prefill, high_word,
+                              seed++);
+      }
+    }
+  }
+}
+
+TEST(CsbTreeBatch, MatchesPerKeyInsertWidth4) {
+  BatchMatchesPerKeyAllShapes<4>(400);
+}
+TEST(CsbTreeBatch, MatchesPerKeyInsertWidth8) {
+  BatchMatchesPerKeyAllShapes<8>(800);
+}
+TEST(CsbTreeBatch, MatchesPerKeyInsertWidth16) {
+  BatchMatchesPerKeyAllShapes<16>(1600);
+}
+
+TEST(CsbTreeBatch, EmptyBatchIsANoOp) {
+  CsbTree<8> tree;
+  tree.InsertBatch({}, 0);
+  EXPECT_EQ(tree.unique_keys(), 0u);
+  EXPECT_EQ(tree.total_tuples(), 0u);
+  tree.Insert(Value8::FromKey(3), 0);
+  tree.InsertBatch({}, 1);
+  EXPECT_EQ(tree.total_tuples(), 1u);
+}
+
+TEST(CsbTreeBatch, BulkLoadBuildsFullNodes) {
+  // A batch into an empty tree fills every leaf and internal node, so the
+  // tree is as shallow as full cache-line nodes allow.
+  CsbTree<8> tree;
+  std::vector<Value8> values;
+  for (uint64_t k = 0; k < 10000; ++k) values.push_back(Value8::FromKey(k));
+  tree.InsertBatch(values, 0);
+  EXPECT_EQ(tree.unique_keys(), 10000u);
+  // 2500 full leaves under full 8-way internal nodes: 2500 -> 313 -> 40 -> 5
+  // -> 1.
+  EXPECT_EQ(tree.height(), 5);
+  EXPECT_EQ(tree.live_node_bytes(),
+            (2500u + 313u + 40u + 5u + 1u) * kCacheLineSize);
+}
 
 }  // namespace
 }  // namespace deltamerge

@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/partitioned_table.h"
 #include "core/table.h"
+#include "durable_torture_util.h"
+#include "util/file_io.h"
 #include "workload/table_builder.h"
 
 namespace deltamerge {
@@ -61,26 +65,72 @@ TEST(Table, DeleteInvalidates) {
   EXPECT_FALSE(t.DeleteRow(17).ok());
 }
 
+/// Every byte `column`'s current main partition serializes to: what a
+/// checkpoint stores for it.
+std::vector<uint8_t> MainBytes(const ColumnBase& column,
+                               const std::string& path) {
+  {
+    auto out = FileWriter::Create(path);
+    EXPECT_TRUE(out.ok());
+    EXPECT_TRUE(column.CaptureMainSerializer()(*out.ValueOrDie()).ok());
+    EXPECT_TRUE(out.ValueOrDie()->Close().ok());
+  }
+  auto in = FileReader::Open(path);
+  EXPECT_TRUE(in.ok());
+  std::vector<uint8_t> bytes(in.ValueOrDie()->file_size());
+  EXPECT_TRUE(in.ValueOrDie()->Read(bytes.data(), bytes.size()).ok());
+  return bytes;
+}
+
 TEST(Table, BatchInsertSerialAndParallelMatch) {
-  Table a(SmallSchema());
-  Table b(SmallSchema());
-  std::vector<uint64_t> batch;
+  // Three tables receive the same rows: `serial` and `parallel` as two
+  // InsertRows batches each (the first into an empty delta, the second
+  // into a non-empty one), `per_row` one InsertRow at a time.
+  Table serial(SmallSchema());
+  Table parallel(SmallSchema());
+  Table per_row(SmallSchema());
+  const uint64_t domains[] = {1000, 1ULL << 20, 16, 1ULL << 40};
   Rng rng(5);
-  const uint64_t rows = 500;
-  for (uint64_t i = 0; i < rows * 4; ++i) batch.push_back(rng.Below(1000));
-
-  a.InsertRows(batch, rows, nullptr);
   TaskQueue queue(4);
-  b.InsertRows(batch, rows, &queue);
+  uint64_t rows = 0;
+  for (const uint64_t batch_rows : {500u, 300u}) {
+    std::vector<uint64_t> batch;
+    for (uint64_t i = 0; i < batch_rows * 4; ++i) {
+      batch.push_back(rng.Below(domains[i % 4]));
+    }
+    serial.InsertRows(batch, batch_rows, nullptr);
+    parallel.InsertRows(batch, batch_rows, &queue);
+    for (uint64_t r = 0; r < batch_rows; ++r) {
+      per_row.InsertRow(std::span<const uint64_t>(batch).subspan(r * 4, 4));
+    }
+    rows += batch_rows;
+  }
 
-  ASSERT_EQ(a.num_rows(), rows);
-  ASSERT_EQ(b.num_rows(), rows);
-  for (uint64_t r = 0; r < rows; r += 37) {
+  for (const Table* t : {&serial, &parallel}) {
+    ASSERT_EQ(t->num_rows(), rows);
     for (size_t c = 0; c < 4; ++c) {
-      EXPECT_EQ(a.GetKey(c, r), b.GetKey(c, r));
+      EXPECT_EQ(t->column(c).delta_unique(), per_row.column(c).delta_unique());
+      for (uint64_t r = 0; r < rows; ++r) {
+        const uint64_t key = per_row.GetKey(c, r);
+        ASSERT_EQ(t->GetKey(c, r), key) << "column " << c << " row " << r;
+        ASSERT_EQ(t->CountEquals(c, key), per_row.CountEquals(c, key));
+      }
     }
   }
-  EXPECT_GT(a.delta_update_cycles(), 0u);
+  EXPECT_GT(serial.delta_update_cycles(), 0u);
+
+  // The merge reads the delta trees (Step 1(a)), so identical merged mains
+  // mean identical trees; checkpoints store exactly these bytes.
+  for (Table* t : {&serial, &parallel, &per_row}) {
+    ASSERT_TRUE(t->Merge(TableMergeOptions{}).ok());
+  }
+  testref::TortureScratchDir dir("batch_mains");
+  const std::string path = dir.path() + "/main.bin";
+  for (size_t c = 0; c < 4; ++c) {
+    const std::vector<uint8_t> expected = MainBytes(per_row.column(c), path);
+    EXPECT_EQ(MainBytes(serial.column(c), path), expected) << "column " << c;
+    EXPECT_EQ(MainBytes(parallel.column(c), path), expected) << "column " << c;
+  }
 }
 
 TEST(Table, CountQueriesSpanPartitions) {
