@@ -276,7 +276,7 @@ BENCHMARK(BM_SimdCollectRangePacked);
 // The two ways to sum a main partition, at a dictionary of 2^bits keys
 // (17 bits is the e2e olap_scan column's code width): the translate kernel
 // the read path runs, and a histogram of codes folded against the
-// dictionary, which group_by.h's kernel makes available.
+// dictionary, the kernel behind the snapshot's GroupCount.
 void BM_SimdSumPackedTranslated(benchmark::State& state) {
   const uint8_t bits = static_cast<uint8_t>(state.range(0));
   const uint64_t n = 1 << 22;

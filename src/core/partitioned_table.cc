@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <latch>
+#include <utility>
 
 #include "util/cycle_clock.h"
 
@@ -925,55 +926,92 @@ PartitionedMergeReport PartitionedTable::MergeAll(
 // PartitionedSnapshot
 // ---------------------------------------------------------------------------
 
+PartitionedSnapshot& PartitionedSnapshot::operator=(
+    PartitionedSnapshot&& other) noexcept {
+  if (this != &other) {
+    segments_ = std::exchange(other.segments_, {});
+    segment_capacity_ = other.segment_capacity_;
+    visible_rows_ = std::exchange(other.visible_rows_, 0);
+    valid_rows_ = std::exchange(other.valid_rows_, 0);
+    num_columns_ = std::exchange(other.num_columns_, 0);
+  }
+  return *this;
+}
+
+void PartitionedSnapshot::Release() {
+  segments_.clear();
+  visible_rows_ = 0;
+  valid_rows_ = 0;
+  num_columns_ = 0;
+}
+
+const std::vector<PartitionedSnapshot::SegmentView>&
+PartitionedSnapshot::Segments() const {
+  DM_CHECK_MSG(valid(), "read on a released snapshot");
+  return segments_;
+}
+
 uint64_t PartitionedSnapshot::GetKey(size_t col, uint64_t global_row) const {
-  DM_DCHECK(valid());
+  const std::vector<SegmentView>& segs = Segments();
   DM_CHECK_MSG(global_row < visible_rows_, "row beyond the snapshot horizon");
-  const size_t owner =
-      static_cast<size_t>(global_row / segment_capacity_);
-  const SegmentView& v = segments_[owner];
+  const SegmentView& v = segs[global_row / segment_capacity_];
   return v.snap.GetKey(col, global_row - v.base);
 }
 
 bool PartitionedSnapshot::IsRowValid(uint64_t global_row) const {
-  DM_DCHECK(valid());
+  const std::vector<SegmentView>& segs = Segments();
   if (global_row >= visible_rows_) return false;
-  const size_t owner =
-      static_cast<size_t>(global_row / segment_capacity_);
-  const SegmentView& v = segments_[owner];
+  const SegmentView& v = segs[global_row / segment_capacity_];
   return v.snap.IsRowValid(global_row - v.base);
 }
 
-uint64_t PartitionedSnapshot::CountEquals(size_t col, uint64_t key) const {
-  return CountRange(col, key, key);
+uint64_t PartitionedSnapshot::CountEquals(size_t col, uint64_t key,
+                                          bool only_valid) const {
+  return CountRange(col, key, key, only_valid);
 }
 
-uint64_t PartitionedSnapshot::CountRange(size_t col, uint64_t lo,
-                                         uint64_t hi) const {
-  DM_DCHECK(valid());
-  uint64_t n = 0;
-  for (const SegmentView& v : segments_) n += v.snap.CountRange(col, lo, hi);
-  return n;
+uint64_t PartitionedSnapshot::CountRange(size_t col, uint64_t lo, uint64_t hi,
+                                         bool only_valid) const {
+  return SumSegments([&](const Snapshot& s) {
+    return s.CountRange(col, lo, hi, only_valid);
+  });
 }
 
-uint64_t PartitionedSnapshot::SumColumn(size_t col) const {
-  DM_DCHECK(valid());
-  uint64_t sum = 0;
-  for (const SegmentView& v : segments_) sum += v.snap.SumColumn(col);
-  return sum;
+uint64_t PartitionedSnapshot::SumColumn(size_t col, bool only_valid) const {
+  return SumSegments(
+      [&](const Snapshot& s) { return s.SumColumn(col, only_valid); });
 }
 
 std::vector<uint64_t> PartitionedSnapshot::CollectEquals(
     size_t col, uint64_t key, bool only_valid) const {
-  DM_DCHECK(valid());
+  return CollectRange(col, key, key, only_valid);
+}
+
+std::vector<uint64_t> PartitionedSnapshot::CollectRange(
+    size_t col, uint64_t lo, uint64_t hi, bool only_valid) const {
   std::vector<uint64_t> out;
-  for (const SegmentView& v : segments_) {
+  for (const SegmentView& v : Segments()) {
     // Per-segment results are ascending and bases are increasing, so the
     // concatenation stays globally sorted.
-    for (uint64_t local : v.snap.CollectEquals(col, key, only_valid)) {
+    for (uint64_t local : v.snap.CollectRange(col, lo, hi, only_valid)) {
       out.push_back(v.base + local);
     }
   }
   return out;
+}
+
+uint64_t PartitionedSnapshot::CountConjunction(
+    std::span<const RangePredicate> preds) const {
+  return SumSegments(
+      [&](const Snapshot& s) { return s.CountConjunction(preds); });
+}
+
+KeyCounts PartitionedSnapshot::GroupCount(size_t col) const {
+  KeyCounts counts;
+  for (const SegmentView& v : Segments()) {
+    AddKeyCounts(v.snap.GroupCount(col), &counts);
+  }
+  return counts;
 }
 
 // ---------------------------------------------------------------------------

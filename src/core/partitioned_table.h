@@ -70,6 +70,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/merge_daemon.h"
@@ -85,18 +86,23 @@ namespace deltamerge {
 /// Consistent cross-segment point-in-time view: one epoch-pinned Snapshot
 /// per segment, all captured atomically with the segment list and with no
 /// write operation mid-flight. Reads compose per-segment answers with the
-/// global-row-id arithmetic baked in; like Snapshot, the handle must be
-/// released (destroyed) before the table it came from.
+/// global-row-id arithmetic baked in and take Snapshot's arguments and
+/// contracts (`only_valid` included); like Snapshot, the handle must be
+/// released (destroyed) before the table it came from, and a released or
+/// moved-from handle spans zero rows and aborts every read.
 class PartitionedSnapshot {
  public:
   PartitionedSnapshot() = default;
 
-  PartitionedSnapshot(PartitionedSnapshot&&) noexcept = default;
-  PartitionedSnapshot& operator=(PartitionedSnapshot&&) noexcept = default;
+  PartitionedSnapshot(PartitionedSnapshot&& other) noexcept {
+    *this = std::move(other);
+  }
+  PartitionedSnapshot& operator=(PartitionedSnapshot&& other) noexcept;
   DM_DISALLOW_COPY(PartitionedSnapshot);
 
   bool valid() const { return !segments_.empty(); }
-  void Release() { segments_.clear(); }
+  /// Unpins every segment and empties the handle; idempotent.
+  void Release();
 
   // --- shape (captured; no lock needed) ---
   uint64_t num_rows() const { return visible_rows_; }
@@ -107,12 +113,21 @@ class PartitionedSnapshot {
   // --- reads (consistent as of the capture instant) ---
   uint64_t GetKey(size_t col, uint64_t global_row) const;
   bool IsRowValid(uint64_t global_row) const;
-  uint64_t CountEquals(size_t col, uint64_t key) const;
-  uint64_t CountRange(size_t col, uint64_t lo, uint64_t hi) const;
-  uint64_t SumColumn(size_t col) const;
+  uint64_t CountEquals(size_t col, uint64_t key,
+                       bool only_valid = false) const;
+  uint64_t CountRange(size_t col, uint64_t lo, uint64_t hi,
+                      bool only_valid = false) const;
+  uint64_t SumColumn(size_t col, bool only_valid = false) const;
   /// Global row ids (ascending) whose value equals `key`.
   std::vector<uint64_t> CollectEquals(size_t col, uint64_t key,
                                       bool only_valid) const;
+  /// Global row ids (ascending) whose value lies in [lo, hi].
+  std::vector<uint64_t> CollectRange(size_t col, uint64_t lo, uint64_t hi,
+                                     bool only_valid) const;
+  /// Row versions satisfying every predicate (at least one).
+  uint64_t CountConjunction(std::span<const RangePredicate> preds) const;
+  /// Row versions per distinct key of `col`, ascending by key.
+  KeyCounts GroupCount(size_t col) const;
 
  private:
   friend class PartitionedTable;
@@ -121,6 +136,17 @@ class PartitionedSnapshot {
     Snapshot snap;
     uint64_t base = 0;
   };
+
+  /// segments_, DM_CHECKed: a released handle has none.
+  const std::vector<SegmentView>& Segments() const;
+
+  /// fn(segment snapshot) summed over the segments.
+  template <typename Fn>
+  uint64_t SumSegments(Fn&& fn) const {
+    uint64_t n = 0;
+    for (const SegmentView& v : Segments()) n += fn(v.snap);
+    return n;
+  }
 
   std::vector<SegmentView> segments_;
   uint64_t segment_capacity_ = 1;

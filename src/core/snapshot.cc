@@ -3,11 +3,30 @@
 #include "core/snapshot.h"
 
 #include <algorithm>
+#include <iterator>
 #include <thread>
 
 namespace deltamerge {
 
 using Part = ColumnReadView::Part;
+
+void AddKeyCounts(const KeyCounts& more, KeyCounts* counts) {
+  KeyCounts merged;
+  merged.reserve(counts->size() + more.size());
+  std::merge(counts->begin(), counts->end(), more.begin(), more.end(),
+             std::back_inserter(merged),
+             [](const auto& a, const auto& b) { return a.first < b.first; });
+  size_t n = 0;
+  for (const auto& kc : merged) {
+    if (n > 0 && merged[n - 1].first == kc.first) {
+      merged[n - 1].second += kc.second;
+    } else {
+      merged[n++] = kc;
+    }
+  }
+  merged.resize(n);
+  *counts = std::move(merged);
+}
 
 // ---------------------------------------------------------------------------
 // EpochManager
@@ -146,6 +165,8 @@ Snapshot& Snapshot::operator=(Snapshot&& other) noexcept {
     read_ts_ = other.read_ts_;
     cols_ = std::move(other.cols_);
     other.epochs_ = nullptr;
+    other.visible_rows_ = 0;
+    other.valid_rows_ = 0;
   }
   return *this;
 }
@@ -155,6 +176,8 @@ void Snapshot::Release() {
   // Drop the view objects first — after Unpin their targets may be
   // reclaimed at any time.
   cols_.clear();
+  visible_rows_ = 0;
+  valid_rows_ = 0;
   EpochManager* epochs = epochs_;
   epochs_ = nullptr;
   epochs->Unpin(slot_);
@@ -162,7 +185,7 @@ void Snapshot::Release() {
 }
 
 const ColumnReadView& Snapshot::View(size_t col) const {
-  DM_DCHECK(valid());
+  DM_CHECK_MSG(valid(), "read on a released snapshot");
   DM_CHECK_MSG(col < cols_.size(), "column index out of range");
   return *cols_[col];
 }
@@ -192,31 +215,33 @@ uint64_t Snapshot::GetKey(size_t col, uint64_t row) const {
 }
 
 bool Snapshot::IsRowValid(uint64_t row) const {
-  DM_DCHECK(valid());
+  DM_CHECK_MSG(valid(), "read on a released snapshot");
   if (row >= visible_rows_) return false;
   ReaderMutexLock lock(*mu_);
   return validity_->IsValidAtTs(row, read_ts_);
 }
 
-uint64_t Snapshot::CountEquals(size_t col, uint64_t key) const {
-  return CountRange(col, key, key);
+uint64_t Snapshot::CountEquals(size_t col, uint64_t key,
+                               bool only_valid) const {
+  return CountRange(col, key, key, only_valid);
 }
 
-uint64_t Snapshot::CountRange(size_t col, uint64_t lo, uint64_t hi) const {
+uint64_t Snapshot::CountRange(size_t col, uint64_t lo, uint64_t hi,
+                              bool only_valid) const {
   const ColumnReadView& view = View(col);
-  return AddParts(view, false, [&](Part part, const uint64_t* valid) {
-    // With a gate, the main partition's share enrolls in the cooperative
-    // sweep (possibly riding a batch with concurrent queries).
-    if (part == Part::kMain && gate_ != nullptr) {
+  return AddParts(view, only_valid, [&](Part part, const uint64_t* valid) {
+    // With a gate, the main partition's unmasked share enrolls in the
+    // cooperative sweep (possibly riding a batch with concurrent queries).
+    if (part == Part::kMain && gate_ != nullptr && valid == nullptr) {
       return gate_->Count(col, view.MainSpec(lo, hi));
     }
     return view.Count(part, lo, hi, valid);
   });
 }
 
-uint64_t Snapshot::SumColumn(size_t col) const {
+uint64_t Snapshot::SumColumn(size_t col, bool only_valid) const {
   const ColumnReadView& view = View(col);
-  return AddParts(view, false, [&](Part part, const uint64_t* valid) {
+  return AddParts(view, only_valid, [&](Part part, const uint64_t* valid) {
     return view.Sum(part, valid);
   });
 }
@@ -251,23 +276,55 @@ std::vector<uint64_t> Snapshot::CollectRange(size_t col, uint64_t lo,
   return rows;
 }
 
-uint64_t Snapshot::CountEqualsValid(size_t col, uint64_t key) const {
-  return CountRangeValid(col, key, key);
+uint64_t Snapshot::CountConjunction(
+    std::span<const RangePredicate> preds) const {
+  DM_CHECK_MSG(!preds.empty(), "a conjunction needs a predicate");
+  const auto count_part = [&](Part part) -> uint64_t {
+    if (part == Part::kMain) {
+      // Every column merges together, so the main partitions share one
+      // row count and one fused sweep covers them all.
+      std::vector<simd::ConjunctPredicate> fused;
+      uint64_t tuples = 0;
+      for (const RangePredicate& p : preds) {
+        const query::PackedScanSpec spec = View(p.column).MainSpec(p.lo, p.hi);
+        if (!spec.match) return 0;
+        fused.push_back({spec.codes, spec.c_lo, spec.c_hi});
+        tuples = spec.tuples;
+      }
+      return simd::CountConjunctionPacked(fused, 0, tuples);
+    }
+    std::vector<uint64_t> hits;
+    for (size_t i = 0; i < preds.size(); ++i) {
+      std::vector<uint64_t> rows;
+      View(preds[i].column).Collect(part, preds[i].lo, preds[i].hi, &rows);
+      std::sort(rows.begin(), rows.end());
+      if (i > 0) {
+        std::vector<uint64_t> both;
+        std::set_intersection(hits.begin(), hits.end(), rows.begin(),
+                              rows.end(), std::back_inserter(both));
+        rows = std::move(both);
+      }
+      hits = std::move(rows);
+      if (hits.empty()) break;
+    }
+    return hits.size();
+  };
+  // Every view shares one active prefix, so the first one stands for all.
+  return AddParts(View(preds[0].column), false,
+                  [&](Part part, const uint64_t*) { return count_part(part); });
 }
 
-uint64_t Snapshot::CountRangeValid(size_t col, uint64_t lo,
-                                   uint64_t hi) const {
+KeyCounts Snapshot::GroupCount(size_t col) const {
   const ColumnReadView& view = View(col);
-  return AddParts(view, true, [&](Part part, const uint64_t* valid) {
-    return view.Count(part, lo, hi, valid);
-  });
-}
-
-uint64_t Snapshot::SumColumnValid(size_t col) const {
-  const ColumnReadView& view = View(col);
-  return AddParts(view, true, [&](Part part, const uint64_t* valid) {
-    return view.Sum(part, valid);
-  });
+  KeyCounts active;
+  if (view.active_prefix > 0) {
+    ReaderMutexLock lock(*mu_);
+    active = view.GroupCount(Part::kActive);
+  }
+  KeyCounts counts = view.GroupCount(Part::kMain);
+  AddKeyCounts(view.GroupCount(Part::kFrozen), &counts);
+  AddKeyCounts(active, &counts);
+  return counts;
 }
 
 }  // namespace deltamerge

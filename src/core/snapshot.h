@@ -34,6 +34,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "query/aggregate.h"
@@ -146,11 +148,25 @@ class EpochManager final : public RetireSink {
   std::atomic<uint64_t> reclaimed_total_{0};
 };
 
-/// Type-erased consistent view of one column: the three scan sources a
-/// read evaluates one range predicate over — the main partition, the frozen
-/// delta and the visible prefix of the active delta — with the global-row-id
-/// arithmetic baked in. Built by ColumnBase::CaptureView under the table
-/// lock.
+/// One leg of a conjunction: column `column`'s key lies in [lo, hi]
+/// (inclusive; equality is [k, k]).
+struct RangePredicate {
+  size_t column = 0;
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+};
+
+/// A per-value group count: (key, tuples holding it) pairs, ascending by key.
+using KeyCounts = std::vector<std::pair<uint64_t, uint64_t>>;
+
+/// Adds `more` into `*counts`, summing the counts of equal keys; both are
+/// ascending, and so is the result.
+void AddKeyCounts(const KeyCounts& more, KeyCounts* counts);
+
+/// Type-erased consistent view of one column: the three scan sources every
+/// read adds up — the main partition, the frozen delta and the visible
+/// prefix of the active delta — with the global-row-id arithmetic baked in.
+/// Built by ColumnBase::CaptureView under the table lock.
 ///
 /// What protects a read depends on its part:
 ///   * kMain and kFrozen are immutable objects the epoch pin keeps alive,
@@ -195,6 +211,8 @@ class ColumnReadView {
                        std::vector<uint64_t>* out) const = 0;
   /// Sum (mod 2^64) of `part`'s keys.
   virtual uint64_t Sum(Part part, const uint64_t* valid) const = 0;
+  /// `part`'s tuples per distinct key.
+  virtual KeyCounts GroupCount(Part part) const = 0;
 };
 
 /// The typed view implementation for value width W.
@@ -251,6 +269,31 @@ class ColumnSnapshotView final : public ColumnReadView {
     return query::SumDelta(*d.delta, d.prefix, d.base, valid);
   }
 
+  /// Main: a histogram over the packed codes, keyed through the dictionary.
+  /// A delta: the CSB+ tree's sorted walk, counting visible postings.
+  KeyCounts GroupCount(Part part) const override {
+    KeyCounts out;
+    if (part == Part::kMain) {
+      const std::vector<uint64_t> keys = query::DictionaryKeyTable(*main_);
+      std::vector<uint64_t> counts(keys.size(), 0);
+      if (!main_->empty()) {
+        simd::HistogramPacked(main_->codes(), 0, main_->size(), counts.data());
+      }
+      for (size_t c = 0; c < keys.size(); ++c) {
+        if (counts[c] > 0) out.emplace_back(keys[c], counts[c]);
+      }
+      return out;
+    }
+    const DeltaPrefix d = Delta(part);
+    if (d.delta == nullptr) return out;
+    d.delta->tree().ForEachSorted([&](const Value& v, PostingsCursor c) {
+      uint64_t n = 0;
+      for (; !c.Done(); c.Advance()) n += c.TupleId() < d.prefix ? 1 : 0;
+      if (n > 0) out.emplace_back(v.key(), n);
+    });
+    return out;
+  }
+
  private:
   /// A delta part: its partition (the frozen one is null when no merge is
   /// in flight), the tuples visible to this view, and the global row id of
@@ -276,7 +319,8 @@ class ColumnSnapshotView final : public ColumnReadView {
 /// A pinned, consistent read view of a whole table: every column at the
 /// same row count, plus validity as of the capture instant. Movable,
 /// non-copyable; releasing (destruction) unpins the epoch and triggers
-/// reclamation. Must not outlive the Table it came from.
+/// reclamation. Must not outlive the Table it came from. A released or
+/// moved-from handle spans zero rows, and every read on it aborts.
 class Snapshot {
  public:
   Snapshot() = default;
@@ -301,29 +345,34 @@ class Snapshot {
   uint64_t read_ts() const { return read_ts_; }
 
   // --- reads (consistent as of the capture instant) ---
+  //
+  // `only_valid` restricts a read to the rows valid as of the snapshot;
+  // otherwise it spans every row version. A valid-only aggregate gives the
+  // same answer as filtering CollectRange(..., true), with no row
+  // materialization: the snapshot copies its validity bits once
+  // (CopyWordsAtTs — current words with post-read_ts tombstones
+  // resurrected), then the pinned partitions sweep lock-free through the
+  // masked kernels. Masked counts never enroll in a ScanGate — a validity
+  // mask is per-snapshot, so masked sweeps are not shareable.
   uint64_t GetKey(size_t col, uint64_t row) const;
   bool IsRowValid(uint64_t row) const;
-  uint64_t CountEquals(size_t col, uint64_t key) const;
-  uint64_t CountRange(size_t col, uint64_t lo, uint64_t hi) const;
-  uint64_t SumColumn(size_t col) const;
-  /// Row ids (ascending) whose value equals `key`; `only_valid` filters by
-  /// validity as of the snapshot.
+  uint64_t CountEquals(size_t col, uint64_t key,
+                       bool only_valid = false) const;
+  uint64_t CountRange(size_t col, uint64_t lo, uint64_t hi,
+                      bool only_valid = false) const;
+  uint64_t SumColumn(size_t col, bool only_valid = false) const;
+  /// Row ids (ascending) whose value equals `key`.
   std::vector<uint64_t> CollectEquals(size_t col, uint64_t key,
                                       bool only_valid) const;
   /// Row ids (ascending) whose value lies in [lo, hi].
   std::vector<uint64_t> CollectRange(size_t col, uint64_t lo, uint64_t hi,
                                      bool only_valid) const;
-
-  // --- validity-filtered aggregates ---
-  // Same answers as filtering CollectEquals/CollectRange(..., true), with
-  // no row materialization: the snapshot copies its validity bits once
-  // (CopyWordsAtTs — current words with post-read_ts tombstones
-  // resurrected), then the pinned partitions sweep lock-free through the
-  // masked kernels. These never enroll in a ScanGate — a validity mask is
-  // per-snapshot, so masked sweeps are not shareable.
-  uint64_t CountEqualsValid(size_t col, uint64_t key) const;
-  uint64_t CountRangeValid(size_t col, uint64_t lo, uint64_t hi) const;
-  uint64_t SumColumnValid(size_t col) const;
+  /// Row versions satisfying every predicate (at least one). Main runs one
+  /// fused sweep over all the predicates' packed codes; each delta part
+  /// intersects the predicates' matching rows.
+  uint64_t CountConjunction(std::span<const RangePredicate> preds) const;
+  /// Row versions per distinct key of `col`, ascending by key.
+  KeyCounts GroupCount(size_t col) const;
 
   /// The scan gate this snapshot's main-partition counts enroll in, or
   /// null when sharing is disabled (Table::EnableSharedScans).
@@ -344,7 +393,8 @@ class Snapshot {
     return row < visible_rows_ && validity_->IsValidAtTs(row, read_ts_);
   }
 
-  /// cols_[col], DM_CHECKed: column ids come from callers.
+  /// cols_[col], DM_CHECKed: column ids come from callers, and a released
+  /// handle has no columns.
   const ColumnReadView& View(size_t col) const;
 
   /// fn(part, valid) added up over `view`'s three parts. The active prefix

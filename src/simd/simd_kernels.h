@@ -19,7 +19,6 @@
 //  CollectRangePacked      — matching-index emission (movemask + ctz walk);
 //  SumPackedTranslated     — aggregate via code→key translate (vpgatherqq)
 //                            + 64-bit lane accumulate, result mod 2^64;
-//  DecodeCodesPacked       — unpack a code run into a uint32 block buffer;
 //  HistogramPacked         — per-code occurrence counts (unpacked in blocks,
 //                            scattered scalar — stores cannot be vectorized
 //                            without conflict detection);
@@ -517,37 +516,8 @@ inline uint64_t SumPackedTranslated(const PackedVector& v, uint64_t begin,
 }
 
 // ---------------------------------------------------------------------------
-// Block decode + histogram (the materializing-scan and group-by feeders).
+// Histogram (the group-count feeder).
 // ---------------------------------------------------------------------------
-
-/// Scalar reference: out[i - begin] = code of tuple i.
-inline void DecodeCodesPackedScalar(const PackedVector& v, uint64_t begin,
-                                    uint64_t end, uint32_t* out) {
-  PackedVector::Reader reader(v, begin);
-  for (uint64_t i = begin; i < end; ++i) {
-    *out++ = reader.Next();
-  }
-}
-
-/// Unpacks the code run [begin, end) into `out` (end - begin entries).
-inline void DecodeCodesPacked(const PackedVector& v, uint64_t begin,
-                              uint64_t end, uint32_t* out) {
-#ifdef DM_HAVE_AVX2
-  if (v.bits() > 30) {
-    DecodeCodesPackedScalar(v, begin, end, out);
-    return;
-  }
-  const detail::BlockUnpacker up(v, begin);
-  const uint64_t vend = detail::BlockUnpacker::SafeVectorEnd(v, end);
-  uint64_t i = begin;
-  for (; i + 8 <= vend; i += 8, out += 8) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), up.Unpack(i));
-  }
-  DecodeCodesPackedScalar(v, i, end, out);
-#else
-  DecodeCodesPackedScalar(v, begin, end, out);
-#endif
-}
 
 /// Scalar reference: ++counts[code] per tuple in [begin, end).
 inline void HistogramPackedScalar(const PackedVector& v, uint64_t begin,

@@ -37,6 +37,7 @@ using persist::DurableTableOptions;
 using persist::ListManifests;
 using persist::ListWalSegments;
 using persist::WalSyncPolicy;
+using testref::ExpectSnapshotMatchesModel;
 using testref::ExpectTableMatchesModel;
 using testref::kTortureKeyDomain;
 using testref::ModelPrefix;
@@ -86,22 +87,8 @@ TEST_P(ShardedDifferential, MatchesReferenceModelAcrossRollovers) {
       table.MergeDueSegments(policy, TableMergeOptions{});
     }
   }
-  const ReferenceModel model = ModelPrefix(ops, p.ops);
+  ReferenceModel model = ModelPrefix(ops, p.ops);
   ExpectTableMatchesModel(table, model, p.seed);
-
-  // The same state through the snapshot surface, incl. row-set collection.
-  const PartitionedSnapshot snap = table.CreateSnapshot();
-  ASSERT_EQ(snap.num_rows(), model.size());
-  ASSERT_EQ(snap.valid_rows(), model.valid_count());
-  Rng rng(p.seed ^ 0x5a4dedULL);
-  for (int i = 0; i < 8; ++i) {
-    const uint64_t key = rng.Below(kTortureKeyDomain);
-    for (size_t c = 0; c < 3; ++c) {
-      ASSERT_EQ(snap.CountEquals(c, key), model.CountEquals(c, key));
-      ASSERT_EQ(snap.CollectEquals(c, key, /*only_valid=*/true),
-                model.CollectEquals(c, key, /*only_valid=*/true));
-    }
-  }
   // Segment shape: bounded segments, sealed prefix full (rollover is lazy,
   // so an exactly-full tail has not split yet).
   const uint64_t expect_segments =
@@ -112,6 +99,41 @@ TEST_P(ShardedDifferential, MatchesReferenceModelAcrossRollovers) {
   for (size_t s = 0; s + 1 < table.num_segments(); ++s) {
     ASSERT_EQ(table.segment(s).num_rows(), p.capacity) << "segment " << s;
   }
+
+  // The same state through every snapshot read. Rows below the tail's
+  // main partition stand in for "main" in the delta-only key probe.
+  Rng rng(p.seed ^ 0x5a4dedULL);
+  const auto tail_main_end = [&] {
+    const size_t last = table.num_segments() - 1;
+    return last * p.capacity + table.segment(last).column(0).main_size();
+  };
+  ExpectSnapshotMatchesModel(table.CreateSnapshot(), model, tail_main_end(),
+                             rng, kTortureKeyDomain);
+
+  // A capture with a frozen part, SnapshotDifferentialTest's recipe on the
+  // tail: give it delta rows, freeze its columns, capture main + frozen,
+  // insert (into the fresh active delta, or past a rollover), capture
+  // again, then commit the merge. Both captures outlive the commit.
+  std::vector<uint64_t> keys(3);
+  const auto insert = [&] {
+    for (auto& k : keys) k = rng.Below(kTortureKeyDomain);
+    ASSERT_EQ(table.InsertRow(keys), model.Insert(keys));
+  };
+  for (int i = 0; i < 3; ++i) insert();
+  Table& tail = table.segment(table.num_segments() - 1);
+  for (size_t c = 0; c < tail.num_columns(); ++c) tail.column(c).FreezeDelta();
+  const uint64_t main_end = tail_main_end();
+  const PartitionedSnapshot frozen = table.CreateSnapshot();
+  const ReferenceModel frozen_model = model;
+  insert();
+  const PartitionedSnapshot both = table.CreateSnapshot();
+  for (size_t c = 0; c < tail.num_columns(); ++c) {
+    tail.column(c).PrepareMerge(MergeOptions{}, nullptr);
+    tail.column(c).CommitMerge(&tail.epoch_manager());
+  }
+  ExpectSnapshotMatchesModel(frozen, frozen_model, main_end, rng,
+                             kTortureKeyDomain);
+  ExpectSnapshotMatchesModel(both, model, main_end, rng, kTortureKeyDomain);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -508,6 +530,13 @@ TEST(PartitionedSnapshotTorture, ReadersVerifyCaptureInstantWhileWriterRuns) {
         ASSERT_EQ(snap.GetKey(1, row), expect.Key(row, 1));
         ASSERT_EQ(snap.IsRowValid(row), expect.IsValid(row));
       }
+      // Every row version falls in one group and in the full domain.
+      uint64_t grouped = 0;
+      for (const auto& [key, n] : snap.GroupCount(rng.Below(3))) grouped += n;
+      ASSERT_EQ(grouped, snap.num_rows());
+      const RangePredicate everything[] = {
+          {0, 0, ~uint64_t{0}}, {1, 0, ~uint64_t{0}}, {2, 0, ~uint64_t{0}}};
+      ASSERT_EQ(snap.CountConjunction(everything), snap.num_rows());
       verified.fetch_add(1, std::memory_order_relaxed);
       if (overlapped && daemon.merge_in_flight()) {
         verified_during_merge.fetch_add(1, std::memory_order_relaxed);

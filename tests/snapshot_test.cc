@@ -8,11 +8,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -29,6 +27,7 @@
 namespace deltamerge {
 namespace {
 
+using testref::ExpectSnapshotMatchesModel;
 using testref::ReferenceModel;
 
 // ---------------------------------------------------------------------------
@@ -301,6 +300,33 @@ TEST(Snapshot, CapturedMidMergeSeesFrozenPlusActive) {
   EXPECT_EQ(t.epoch_manager().retired_count(), 0u);
 }
 
+// Regression: the conjunction's only matches sit in the frozen delta, with
+// keys past main's dictionary. The deleted raw-column conjunction pruned by
+// main plus the active delta alone and counted 0 here.
+TEST(Snapshot, ConjunctionCountsFrozenRowsOutsideMainRange) {
+  PartitionedTable t(ThreeColumnSchema(),
+                     std::numeric_limits<uint64_t>::max());
+  for (uint64_t i = 0; i < 64; ++i) t.InsertRow({i, i, i});
+  t.MergeAll(TableMergeOptions{});  // keys 0..63 into main
+  for (uint64_t i = 0; i < 5; ++i) t.InsertRow({1000 + i, 2000, i});
+  Table& seg = t.segment(0);
+  for (size_t c = 0; c < seg.num_columns(); ++c) seg.column(c).FreezeDelta();
+
+  const PartitionedSnapshot snap = t.CreateSnapshot();  // main + frozen
+  const RangePredicate preds[] = {{0, 1000, 1999}, {1, 2000, 2000}};
+  EXPECT_EQ(snap.CountConjunction(preds), 5u);
+  const KeyCounts groups = snap.GroupCount(1);
+  ASSERT_EQ(groups.size(), 65u);
+  EXPECT_EQ(groups.back(), std::make_pair(uint64_t{2000}, uint64_t{5}));
+
+  for (size_t c = 0; c < seg.num_columns(); ++c) {
+    seg.column(c).PrepareMerge(MergeOptions{}, nullptr);
+    seg.column(c).CommitMerge(&seg.epoch_manager());
+  }
+  EXPECT_EQ(snap.CountConjunction(preds), 5u);
+  EXPECT_EQ(t.CreateSnapshot().CountConjunction(preds), 5u);  // now in main
+}
+
 TEST(Snapshot, DaemonMergeCannotDisturbAPinnedSnapshot) {
   // Unbounded capacity: the daemon merges the one segment in place.
   PartitionedTable t(ThreeColumnSchema(),
@@ -455,104 +481,6 @@ struct PinnedSnapshot {
 class SnapshotDifferentialTest : public ::testing::TestWithParam<DiffParam> {
  protected:
   static constexpr size_t kColumns = 3;
-
-  /// A key of column `col` present in the delta rows of `p` and absent from
-  /// its main partition, or nullopt when every delta key also sits in main.
-  static std::optional<uint64_t> DeltaOnlyKey(const PinnedSnapshot& p,
-                                              size_t col) {
-    std::vector<uint64_t> main_keys;
-    for (uint64_t r = 0; r < p.main_rows; ++r) {
-      main_keys.push_back(p.model.Key(r, col));
-    }
-    std::sort(main_keys.begin(), main_keys.end());
-    for (uint64_t r = p.main_rows; r < p.model.size(); ++r) {
-      const uint64_t key = p.model.Key(r, col);
-      if (!std::binary_search(main_keys.begin(), main_keys.end(), key)) {
-        return key;
-      }
-    }
-    return std::nullopt;
-  }
-
-  static uint64_t ValidSum(const ReferenceModel& model, size_t col) {
-    uint64_t sum = 0;
-    for (uint64_t r = 0; r < model.size(); ++r) {
-      if (model.IsValid(r)) sum += model.Key(r, col);
-    }
-    return sum;
-  }
-
-  /// Every public read on every column, checked against the model copy
-  /// taken at the snapshot's capture instant.
-  void VerifySnapshot(const PinnedSnapshot& p, Rng& rng, uint64_t domain) {
-    const Snapshot& snap = p.snap;
-    const ReferenceModel& model = p.model;
-    ASSERT_EQ(snap.num_rows(), model.size());
-    ASSERT_EQ(snap.valid_rows(), model.valid_count());
-    EXPECT_FALSE(snap.IsRowValid(model.size() + 5));
-    if (model.size() == 0) return;
-
-    // Random rows plus the newest one, which lives in the active prefix
-    // whenever the snapshot has one.
-    for (const uint64_t row : {rng.Below(model.size()), rng.Below(model.size()),
-                               rng.Below(model.size()), model.size() - 1}) {
-      EXPECT_EQ(snap.IsRowValid(row), model.IsValid(row)) << "row " << row;
-      for (size_t col = 0; col < kColumns; ++col) {
-        EXPECT_EQ(snap.GetKey(col, row), model.Key(row, col))
-            << "row " << row << " col " << col;
-      }
-    }
-
-    for (size_t col = 0; col < kColumns; ++col) {
-      // Equality probes: a random domain key, a key some row holds, a key
-      // absent from every partition, and a key only a delta holds.
-      std::vector<uint64_t> keys = {
-          rng.Below(domain), model.Key(rng.Below(model.size()), col),
-          domain + 12345};
-      if (const auto k = DeltaOnlyKey(p, col)) keys.push_back(*k);
-      for (const uint64_t k : keys) {
-        EXPECT_EQ(snap.CountEquals(col, k), model.CountEquals(col, k))
-            << "col " << col << " key " << k;
-        EXPECT_EQ(snap.CollectEquals(col, k, true),
-                  model.CollectEquals(col, k, true))
-            << "col " << col << " key " << k;
-        EXPECT_EQ(snap.CollectEquals(col, k, false),
-                  model.CollectEquals(col, k, false))
-            << "col " << col << " key " << k;
-        EXPECT_EQ(snap.CountEqualsValid(col, k),
-                  model.CollectEquals(col, k, true).size())
-            << "col " << col << " key " << k;
-      }
-
-      // Range probes: a random range, single-key ranges on the present key
-      // and the delta-only key, an inverted range (hi < lo), and a range
-      // past every key.
-      const uint64_t lo = rng.Below(domain);
-      std::vector<std::pair<uint64_t, uint64_t>> ranges = {
-          {lo, lo + rng.Below(domain / 4 + 1)},
-          {keys[1], keys[1]},
-          {lo + 1, lo},
-          {domain + 1, domain + 100}};
-      if (keys.size() > 3) ranges.emplace_back(keys[3], keys[3]);
-      for (const auto& [l, h] : ranges) {
-        EXPECT_EQ(snap.CountRange(col, l, h), model.CountRange(col, l, h))
-            << "col " << col << " range " << l << ".." << h;
-        EXPECT_EQ(snap.CollectRange(col, l, h, true),
-                  model.CollectRange(col, l, h, true))
-            << "col " << col << " range " << l << ".." << h;
-        EXPECT_EQ(snap.CollectRange(col, l, h, false),
-                  model.CollectRange(col, l, h, false))
-            << "col " << col << " range " << l << ".." << h;
-        EXPECT_EQ(snap.CountRangeValid(col, l, h),
-                  model.CollectRange(col, l, h, true).size())
-            << "col " << col << " range " << l << ".." << h;
-      }
-
-      EXPECT_EQ(snap.SumColumn(col), model.Sum(col)) << "col " << col;
-      EXPECT_EQ(snap.SumColumnValid(col), ValidSum(model, col))
-          << "col " << col;
-    }
-  }
 };
 
 TEST_P(SnapshotDifferentialTest, EverySnapshotAgreesWithItsModelCopy) {
@@ -571,6 +499,10 @@ TEST_P(SnapshotDifferentialTest, EverySnapshotAgreesWithItsModelCopy) {
   uint64_t mid_merge_captures = 0;
   uint64_t captures = 0;
   uint64_t verifications = 0;
+  const auto verify = [&](const PinnedSnapshot& s) {
+    ExpectSnapshotMatchesModel(s.snap, s.model, s.main_rows, rng, p.domain);
+    ++verifications;
+  };
 
   const auto insert = [&] {
     for (auto& k : keys) k = rng.Below(p.domain);
@@ -581,8 +513,7 @@ TEST_P(SnapshotDifferentialTest, EverySnapshotAgreesWithItsModelCopy) {
     if (pinned.size() >= kMaxPinned) {
       // Verify and release the oldest — it has usually outlived several
       // merges by now, which is exactly the interesting case.
-      VerifySnapshot(pinned.front(), rng, p.domain);
-      ++verifications;
+      verify(pinned.front());
       pinned.erase(pinned.begin());
     }
     table.EnableSharedScans(captures++ % 2 == 0);
@@ -641,8 +572,7 @@ TEST_P(SnapshotDifferentialTest, EverySnapshotAgreesWithItsModelCopy) {
         table.column(c).PrepareMerge(MergeOptions{}, nullptr);
         table.column(c).CommitMerge(&table.epoch_manager());
       }
-      VerifySnapshot(pinned.back(), rng, p.domain);
-      ++verifications;
+      verify(pinned.back());
       ++mid_merge_captures;
       ++merges;
     }
@@ -651,9 +581,7 @@ TEST_P(SnapshotDifferentialTest, EverySnapshotAgreesWithItsModelCopy) {
 
     // Occasionally spot-check a random pinned snapshot mid-life.
     if (!pinned.empty() && rng.NextDouble() < 0.02) {
-      const size_t i = static_cast<size_t>(rng.Below(pinned.size()));
-      VerifySnapshot(pinned[i], rng, p.domain);
-      ++verifications;
+      verify(pinned[static_cast<size_t>(rng.Below(pinned.size()))]);
     }
     if (::testing::Test::HasFailure()) {
       FAIL() << "differential mismatch at op " << op << " (seed " << p.seed
@@ -663,10 +591,7 @@ TEST_P(SnapshotDifferentialTest, EverySnapshotAgreesWithItsModelCopy) {
 
   ASSERT_GE(merges, 1u) << "parameterization never merged";
   ASSERT_GE(mid_merge_captures, 1u) << "parameterization never froze";
-  for (const PinnedSnapshot& s : pinned) {
-    VerifySnapshot(s, rng, p.domain);
-    ++verifications;
-  }
+  for (const PinnedSnapshot& s : pinned) verify(s);
   EXPECT_GE(verifications, 10u) << "parameterization barely verified";
   pinned.clear();
 

@@ -301,7 +301,7 @@ TEST(ReadBoundsDeathTest, CapturedColumnIndex) {
   const Snapshot snap = t.CreateSnapshot();
   EXPECT_DEATH(snap.GetKey(4, 0), "column index out of range");
   EXPECT_DEATH(snap.CountEquals(4, 1), "column index out of range");
-  EXPECT_DEATH(snap.CountRangeValid(4, 0, 9), "column index out of range");
+  EXPECT_DEATH(snap.CountRange(4, 0, 9, true), "column index out of range");
   EXPECT_DEATH(snap.SumColumn(7), "column index out of range");
   EXPECT_DEATH(snap.CollectEquals(4, 1, true), "column index out of range");
   EXPECT_DEATH(snap.GetKey(0, 1), "row beyond the snapshot horizon");
@@ -315,6 +315,41 @@ TEST(ReadBoundsDeathTest, PartitionedRowIndex) {
   EXPECT_DEATH(t.GetKey(0, 6), "row id beyond table size");
   EXPECT_DEATH(t.GetKey(0, 8), "global row id beyond table size");
   EXPECT_DEATH(t.GetKey(4, 0), "column index out of range");
+}
+
+// A released or moved-from handle spans zero rows and aborts every read,
+// in every build type, instead of indexing an emptied segment list.
+TEST(ReadBoundsDeathTest, ReleasedPartitionedHandle) {
+  PartitionedTable t(SmallSchema(), 4);
+  for (uint64_t i = 0; i < 10; ++i) t.InsertRow({i, i, i, i});
+  PartitionedSnapshot moved_from = t.CreateSnapshot();
+  PartitionedSnapshot released = std::move(moved_from);
+  EXPECT_EQ(released.num_rows(), 10u);
+  released.Release();
+  for (const PartitionedSnapshot* empty : {&moved_from, &released}) {
+    EXPECT_EQ(empty->num_rows(), 0u);
+    EXPECT_EQ(empty->valid_rows(), 0u);
+    EXPECT_DEATH(empty->IsRowValid(5), "read on a released snapshot");
+    EXPECT_DEATH(empty->GetKey(0, 5), "read on a released snapshot");
+    EXPECT_DEATH(empty->CountRange(0, 0, 9), "read on a released snapshot");
+    EXPECT_DEATH(empty->GroupCount(0), "read on a released snapshot");
+  }
+}
+
+TEST(ReadBoundsDeathTest, ReleasedSegmentHandle) {
+  Table t(SmallSchema());
+  for (uint64_t i = 0; i < 10; ++i) t.InsertRow({i, i, i, i});
+  Snapshot moved_from = t.CreateSnapshot();
+  Snapshot released = std::move(moved_from);
+  EXPECT_EQ(released.num_rows(), 10u);
+  released.Release();
+  for (const Snapshot* empty : {&moved_from, &released}) {
+    EXPECT_EQ(empty->num_rows(), 0u);
+    EXPECT_EQ(empty->valid_rows(), 0u);
+    EXPECT_DEATH(empty->IsRowValid(5), "read on a released snapshot");
+    EXPECT_DEATH(empty->GetKey(0, 5), "read on a released snapshot");
+    EXPECT_DEATH(empty->SumColumn(0, true), "read on a released snapshot");
+  }
 }
 
 // A transaction op list reaches the segment through Table::CommitTxnOps,
