@@ -1,12 +1,16 @@
 // Copyright (c) 2026 The DeltaMerge Authors.
 // google-benchmark micro-benchmarks of the library's hot primitives:
 // packed-vector access, CSB+ insert/lookup, dictionary merge, merge-path
-// splits, the durability checksum. These are the per-operation costs
-// behind the figure benches.
+// splits, the durability checksum, the checkpoint dictionary codec. These
+// are the per-operation costs behind the figure benches.
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <chrono>
+#include <string>
 #include <vector>
 
 #include "core/merge_algorithms.h"
@@ -14,9 +18,11 @@
 #include "parallel/merge_path.h"
 #include "simd/simd_kernels.h"
 #include "storage/csb_tree.h"
+#include "storage/dictionary.h"
 #include "storage/packed_vector.h"
 #include "util/crc32.h"
 #include "util/cycle_clock.h"
+#include "util/file_io.h"
 #include "util/random.h"
 #include "workload/table_builder.h"
 #include "workload/value_generator.h"
@@ -177,6 +183,97 @@ void BM_Crc32(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(8 << 20);
+
+// Checkpoint dictionary codec: a dictionary written to a file and read back
+// with Deserialize, raw body against delta-packed, over 128k sorted unique
+// values from a dense domain, a 2^20 domain and a 2^40 domain (at width 4,
+// its whole 2^32 range). Each value is drawn from its own equal slice of the
+// domain, so the gaps stay below two slice widths. The packed side is
+// Serialize's own choice on every input here; the raw side writes the count,
+// tag 0 and the value array directly. Both sides arm the running CRC, as a
+// checkpoint writer and reader do. Reports encode and decode ns per entry
+// and the file's bytes per entry. Decode bounds what reopen pays per
+// dictionary entry: the packed decode should cost no more than the raw read
+// plus its sortedness check.
+template <size_t W>
+void BM_DictionaryCodec(benchmark::State& state) {
+  constexpr uint64_t kEntries = 128 << 10;
+  const int domain_bits =
+      std::min(static_cast<int>(state.range(0)), static_cast<int>(8 * W));
+  const bool packed = state.range(1) != 0;
+  const uint64_t slice =
+      domain_bits == 0 ? 1 : (uint64_t{1} << domain_bits) / kEntries;
+  Rng rng(23);
+  std::vector<FixedValue<W>> values(kEntries);
+  for (uint64_t i = 0; i < kEntries; ++i) {
+    values[i] = FixedValue<W>::FromKey(i * slice + rng.Below(slice));
+  }
+  const Dictionary<W> dict = Dictionary<W>::FromSortedUnique(values);
+  auto write_raw = [&](FileWriter& out) -> Status {
+    DM_RETURN_NOT_OK(out.WriteU64(kEntries));
+    DM_RETURN_NOT_OK(
+        out.WriteU8(static_cast<uint8_t>(DictionaryEncoding::kRaw)));
+    return out.Write(values.data(), dict.byte_size());
+  };
+  const std::string path =
+      "dm_dictionary_codec_" + std::to_string(::getpid()) + ".tmp";
+  double encode_ns = 0, decode_ns = 0;
+  uint64_t file_bytes = 0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    {
+      auto out = FileWriter::Create(path);
+      if (out.ok()) out.ValueOrDie()->ResetCrc();
+      if (!out.ok() ||
+          !(packed ? dict.Serialize(*out.ValueOrDie())
+                   : write_raw(*out.ValueOrDie()))
+               .ok() ||
+          !out.ValueOrDie()->Close().ok()) {
+        state.SkipWithError("encode failed");
+        break;
+      }
+      file_bytes = out.ValueOrDie()->bytes_written();
+    }
+    if (packed && file_bytes >= dict.byte_size()) {
+      state.SkipWithError("Serialize wrote the raw body");
+      break;
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    {
+      auto in = FileReader::Open(path);
+      if (!in.ok()) {
+        state.SkipWithError("open failed");
+        break;
+      }
+      in.ValueOrDie()->ResetCrc();
+      auto back = Dictionary<W>::Deserialize(*in.ValueOrDie());
+      if (!back.ok()) {
+        state.SkipWithError("decode failed");
+        break;
+      }
+      benchmark::DoNotOptimize(back.ValueOrDie().values().data());
+    }
+    const auto t2 = std::chrono::steady_clock::now();
+    encode_ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
+    decode_ns += std::chrono::duration<double, std::nano>(t2 - t1).count();
+  }
+  (void)RemoveFile(path);
+  const double entries =
+      static_cast<double>(state.iterations()) * static_cast<double>(kEntries);
+  state.counters["encode_ns_per_entry"] = encode_ns / entries;
+  state.counters["decode_ns_per_entry"] = decode_ns / entries;
+  state.counters["bytes_per_entry"] =
+      static_cast<double>(file_bytes) / static_cast<double>(kEntries);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kEntries));
+}
+// Args: {domain bits (0 = dense), body (0 raw, 1 delta-packed)}.
+BENCHMARK_TEMPLATE(BM_DictionaryCodec, 4)
+    ->ArgsProduct({{0, 20, 40}, {0, 1}});
+BENCHMARK_TEMPLATE(BM_DictionaryCodec, 8)
+    ->ArgsProduct({{0, 20, 40}, {0, 1}});
+BENCHMARK_TEMPLATE(BM_DictionaryCodec, 16)
+    ->ArgsProduct({{0, 20, 40}, {0, 1}});
 
 // ---------------------------------------------------------------------------
 // SIMD scan kernels (src/simd/simd_kernels.h). Each reports cycles_per_code

@@ -126,8 +126,9 @@ ModeResult RunMode(const BenchConfig& cfg, const std::vector<WriteOp>& ops,
   std::snprintf(json, sizeof(json),
                 "\"bench\":\"wal_overhead\",\"mode\":\"%s\","
                 "\"updates_per_s\":%.0f,\"syncs\":%" PRIu64
-                ",\"checkpoints\":%" PRIu64,
-                mode, out.updates_per_second, out.syncs, out.checkpoints);
+                ",\"checkpoints\":%" PRIu64 ",\"dir_bytes\":%" PRIu64,
+                mode, out.updates_per_second, out.syncs, out.checkpoints,
+                out.dir_bytes);
   AppendJsonResult(json);
   return out;
 }

@@ -87,13 +87,10 @@ struct CheckpointCapture {
   /// tombstones landing during the merge body belong to the replay tail
   /// (recovery applies them only if their records became durable).
   std::vector<uint64_t> validity_words;
-  /// Per-row insert commit timestamps for rows [0, main_rows), captured at
-  /// the same freeze instant as the validity words (the MVCC column of the
-  /// covered prefix).
-  std::vector<uint64_t> insert_ts;
-  /// The commit clock as of the freeze instant — >= every timestamp in
-  /// insert_ts. Recovery seeds the table's clock to at least this value so
-  /// restored rows stay visible to post-restart snapshots.
+  /// The commit clock as of the freeze instant. Recovery loads the covered
+  /// rows at ts 0 (no snapshot survives a restart, so none can precede
+  /// them) and seeds the table's clock to at least this value, so commit
+  /// timestamps stay monotone across restarts.
   uint64_t commit_clock = 0;
   std::vector<ColumnMain> columns;
 
@@ -109,7 +106,6 @@ struct CheckpointCapture {
       main_rows = other.main_rows;
       valid_main_rows = other.valid_main_rows;
       validity_words = std::move(other.validity_words);
-      insert_ts = std::move(other.insert_ts);
       commit_clock = other.commit_clock;
       columns = std::move(other.columns);
       epochs_ = other.epochs_;

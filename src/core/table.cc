@@ -464,7 +464,6 @@ Result<TableMergeReport> Table::Merge(const TableMergeOptions& options) {
   TableJournal* journal = nullptr;
   uint64_t replay_lsn = 0;
   std::vector<uint64_t> freeze_validity_words;
-  std::vector<uint64_t> freeze_insert_ts;
   uint64_t freeze_commit_clock = 0;
   uint64_t freeze_rows = 0;
   uint64_t freeze_valid_rows = 0;
@@ -477,13 +476,11 @@ Result<TableMergeReport> Table::Merge(const TableMergeOptions& options) {
       replay_lsn = journal->OnMergeFreezeLocked();
       // At the freeze instant the fresh active delta is empty, so every
       // existing row is about to be folded into the new main: the full
-      // validity prefix is exactly what the checkpoint covers. The insert
-      // timestamps and commit clock ride along — recovery restores the
-      // MVCC column and seeds the clock so the restored stamps stay below
-      // every post-restart read timestamp.
+      // validity prefix is exactly what the checkpoint covers. The commit
+      // clock rides along so recovery keeps timestamps monotone; no insert
+      // timestamps do — recovery loads every covered row at ts 0.
       freeze_rows = validity_.size();
       freeze_validity_words = validity_.CopyWordsPrefix(freeze_rows);
-      freeze_insert_ts = validity_.CopyInsertTsPrefix(freeze_rows);
       freeze_commit_clock = epochs_.current_epoch();
       freeze_valid_rows = validity_.valid_count();
     }
@@ -544,7 +541,6 @@ Result<TableMergeReport> Table::Merge(const TableMergeOptions& options) {
       DM_CHECK_MSG(capture.main_rows == freeze_rows,
                    "merged main does not match the freeze-instant rows");
       capture.validity_words = std::move(freeze_validity_words);
-      capture.insert_ts = std::move(freeze_insert_ts);
       capture.commit_clock = freeze_commit_clock;
       capture.valid_main_rows = freeze_valid_rows;
       capture.AdoptPin(&epochs_, ckpt_slot);
@@ -607,7 +603,6 @@ Result<uint64_t> Table::CompactCheckpoint() {
       DM_CHECK_MSG(capture.main_rows == validity_.size(),
                    "compaction capture must cover every row (empty delta)");
       capture.validity_words = validity_.CopyWordsPrefix(validity_.size());
-      capture.insert_ts = validity_.CopyInsertTsPrefix(validity_.size());
       capture.commit_clock = epochs_.current_epoch();
       capture.valid_main_rows = validity_.valid_count();
       capture.AdoptPin(&epochs_, ckpt_slot);

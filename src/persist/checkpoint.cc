@@ -12,12 +12,14 @@ namespace deltamerge::persist {
 namespace {
 
 constexpr uint64_t kMagic = 0x313054504B434D44ULL;  // "DMCKPT01" little-endian
-// v2 (PR 8): appends the commit clock and the per-row insert-timestamp
-// column after the validity words — the MVCC state a recovered table needs
-// so checkpointed rows stay visible to post-restart snapshots. v1 files are
-// refused as unsupported; recovery falls back to an older file or, with
-// none valid, fails the open (the format predates any deployment promise).
-constexpr uint32_t kVersion = 2;
+// v2 appended the commit clock and one 8-byte insert timestamp per row
+// after the validity words. v3 drops the timestamps — no reader survives a
+// restart, so recovery loads every restored row at ts 0, visible to every
+// read timestamp — and lets each dictionary carry a delta-packed body
+// (Dictionary::Serialize). Older versions are refused as unsupported;
+// recovery falls back to an older file or, with none valid, fails the open
+// (the format predates any deployment promise).
+constexpr uint32_t kVersion = 3;
 
 }  // namespace
 
@@ -59,15 +61,7 @@ Status WriteCheckpointTmp(const std::string& tmp_path,
                                   capture.validity_words.size() *
                                       sizeof(uint64_t)));
     }
-    // v2 MVCC tail: the commit clock at the freeze instant, then one insert
-    // timestamp per covered row (capture.insert_ts.size() == main_rows).
     DM_RETURN_NOT_OK(out->WriteU64(capture.commit_clock));
-    DM_RETURN_NOT_OK(out->WriteU64(capture.insert_ts.size()));
-    if (!capture.insert_ts.empty()) {
-      DM_RETURN_NOT_OK(out->Write(capture.insert_ts.data(),
-                                  capture.insert_ts.size() *
-                                      sizeof(uint64_t)));
-    }
     const uint32_t crc = out->crc();
     DM_RETURN_NOT_OK(out->WriteU32(crc));
     DM_RETURN_NOT_OK(out->Sync());
@@ -154,28 +148,14 @@ Result<CheckpointContents> ReadCheckpoint(const std::string& path) {
   if (word_count > 0) {
     DM_RETURN_NOT_OK(in->Read(words.data(), word_count * sizeof(uint64_t)));
   }
-  // v2 MVCC tail: commit clock + per-row insert timestamps. The count must
-  // equal the row count exactly; the file-size bound keeps the untrusted
-  // value from driving an allocation before the CRC validates.
-  uint64_t ts_count = 0;
   DM_RETURN_NOT_OK(in->ReadU64(&out.commit_clock));
-  DM_RETURN_NOT_OK(in->ReadU64(&ts_count));
-  if (ts_count > in->file_size() / sizeof(uint64_t) ||
-      ts_count != out.main_rows) {
-    return Status::Internal("checkpoint insert-ts count mismatch");
-  }
-  std::vector<uint64_t> insert_ts(ts_count);
-  if (ts_count > 0) {
-    DM_RETURN_NOT_OK(in->Read(insert_ts.data(), ts_count * sizeof(uint64_t)));
-  }
   const uint32_t body_crc = in->crc();
   uint32_t trailer = 0;
   DM_RETURN_NOT_OK(in->ReadU32(&trailer));
   if (trailer != body_crc) {
     return Status::Internal("checkpoint CRC mismatch: " + path);
   }
-  out.validity = ValidityVector::FromWords(std::move(words), out.main_rows,
-                                           std::move(insert_ts));
+  out.validity = ValidityVector::FromWords(std::move(words), out.main_rows);
   if (out.validity.valid_count() != valid_main_rows) {
     return Status::Internal("checkpoint valid-row count mismatch");
   }

@@ -3,7 +3,10 @@
 //
 // A checkpoint is exactly what the merge installs — each column's new main
 // generation (sorted dictionary + packed codes) plus the validity bits for
-// the rows it covers — tagged with the WAL LSN of the freeze instant. The
+// the rows it covers — tagged with the WAL LSN of the freeze instant and
+// the commit clock. The dictionary is stored raw or as packed gaps,
+// whichever is smaller. Rows carry no insert timestamp: every restored row
+// is visible to every post-restart snapshot, which ts 0 expresses. The
 // pair (newest valid checkpoint, WAL tail from its replay_lsn) is the
 // complete durable state of a table; rows that live in the active delta at
 // the commit instant are deliberately *not* in the file, because their WAL
@@ -47,11 +50,12 @@ struct CheckpointContents {
   uint64_t replay_lsn = 0;
   uint64_t main_rows = 0;
   /// The commit clock at the capture instant; recovery seeds the table's
-  /// clock to at least this so restored insert timestamps stay visible.
+  /// clock to at least this so commit timestamps stay monotone across
+  /// restarts.
   uint64_t commit_clock = 0;
   std::vector<std::unique_ptr<ColumnBase>> columns;
   std::vector<std::string> column_names;  ///< schema names, for validation
-  ValidityVector validity;  ///< bits + per-row insert timestamps
+  ValidityVector validity;  ///< bits; every row stamped ts 0
 };
 
 /// Reads and validates one checkpoint file (CRC, shape invariants).

@@ -289,10 +289,10 @@ Result<std::unique_ptr<DurableTable>> DurableTable::Open(
     }
     table = Table::FromColumns(schema, std::move(checkpoint.columns),
                                std::move(checkpoint.validity));
-    // Seed the commit clock from the checkpoint BEFORE replay: restored
-    // rows carry their pre-crash insert timestamps, which must stay at or
-    // below the clock or they would be invisible to every new snapshot;
-    // replayed tail records then stamp fresh (higher) timestamps.
+    // Restored rows carry ts 0, visible to every snapshot. Seed the commit
+    // clock from the checkpoint BEFORE replay so replayed tail records and
+    // later commits stamp above every pre-crash timestamp: the clock stays
+    // monotone across restarts.
     table->epoch_manager().EnsureClockAtLeast(checkpoint.commit_clock);
   } else {
     table = std::make_unique<Table>(schema);

@@ -32,6 +32,11 @@
 //                            8-code block — the cooperative scan-sharing
 //                            mechanism (query/shared_scan.h): N enrolled
 //                            queries, one pass over the codes.
+//  PrefixSumPacked32       — running sums of packed codes into 32-bit
+//                            lanes, checked strictly ascending in
+//                            register, 8 codes per iteration: the
+//                            delta-packed dictionary decoder for 4-byte
+//                            values in AVX2 builds (storage/dictionary.h).
 //
 // Scalar-tail contract (uniform across every kernel): the AVX2 body
 // processes whole 8-code blocks and hands the exact residual — fewer than 8
@@ -47,6 +52,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "storage/packed_vector.h"
@@ -1002,6 +1008,75 @@ inline void MultiCountRangePacked(const PackedVector& v, uint64_t begin,
   MultiCountRangePackedScalar(v, i, end, preds, out_counts);
 #else
   MultiCountRangePackedScalar(v, begin, end, preds, out_counts);
+#endif
+}
+
+// ---------------------------------------------------------------------------
+// PrefixSumPacked32: out[i] = prev + v[begin] + ... + v[i] for i in
+// [begin, end), wrapping at 32 bits; `out` is indexed like `v`. The result
+// is true iff every sum exceeds its predecessor (`prev` for the first) as an
+// unsigned 32-bit value — no code is 0 and no sum wraps — which is exactly
+// what a delta-packed dictionary needs to decode sorted-unique. `Out` is any
+// trivially copyable 4-byte type (FixedValue<4> for the dictionary), written
+// with memcpy-equivalent stores.
+// ---------------------------------------------------------------------------
+
+/// Scalar reference (also the tail handler).
+template <typename Out>
+inline bool PrefixSumPacked32Scalar(const PackedVector& v, uint64_t begin,
+                                    uint64_t end, uint32_t prev, Out* out) {
+  static_assert(sizeof(Out) == 4 && std::is_trivially_copyable_v<Out>);
+  PackedVector::Reader reader(v, begin);
+  bool ascending = true;
+  for (uint64_t i = begin; i < end; ++i) {
+    const uint32_t sum = prev + reader.Next();
+    ascending &= sum > prev;
+    std::memcpy(out + i, &sum, sizeof(sum));
+    prev = sum;
+  }
+  return ascending;
+}
+
+/// 32-bit lanes. Per 8-code block: two in-lane shift-adds and one
+/// cross-half add form the block's inclusive prefix, a broadcast of the
+/// running sum offsets it, and a max/compare against the lanes shifted by
+/// one (the running sum entering lane 0) flags any lane not above its
+/// predecessor. The running sum advances by the block total, off the
+/// store's dependency chain.
+template <typename Out>
+inline bool PrefixSumPacked32(const PackedVector& v, uint64_t begin,
+                              uint64_t end, uint32_t prev, Out* out) {
+  static_assert(sizeof(Out) == 4 && std::is_trivially_copyable_v<Out>);
+#ifdef DM_HAVE_AVX2
+  if (v.bits() > 30) return PrefixSumPacked32Scalar(v, begin, end, prev, out);
+  const detail::BlockUnpacker up(v, begin);
+  const uint64_t vend = detail::BlockUnpacker::SafeVectorEnd(v, end);
+  const __m256i lane7 = _mm256_set1_epi32(7);
+  const __m256i shift_up = _mm256_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6);
+  __m256i run = _mm256_set1_epi32(static_cast<int>(prev));
+  __m256i bad = _mm256_setzero_si256();
+  uint64_t i = begin;
+  for (; i + 8 <= vend; i += 8) {
+    __m256i x = up.Unpack(i);
+    x = _mm256_add_epi32(x, _mm256_slli_si256(x, 4));
+    x = _mm256_add_epi32(x, _mm256_slli_si256(x, 8));
+    const __m256i low_total = _mm256_shuffle_epi32(x, 0xFF);
+    x = _mm256_add_epi32(
+        x, _mm256_permute2x128_si256(low_total, low_total, 0x08));
+    const __m256i sums = _mm256_add_epi32(x, run);
+    const __m256i before = _mm256_blend_epi32(
+        _mm256_permutevar8x32_epi32(sums, shift_up), run, 0x01);
+    bad = _mm256_or_si256(
+        bad, _mm256_cmpeq_epi32(_mm256_max_epu32(before, sums), before));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), sums);
+    run = _mm256_add_epi32(run, _mm256_permutevar8x32_epi32(x, lane7));
+  }
+  const bool ascending = _mm256_testz_si256(bad, bad) != 0;
+  const uint32_t carried = static_cast<uint32_t>(
+      _mm_cvtsi128_si32(_mm256_castsi256_si128(run)));
+  return PrefixSumPacked32Scalar(v, i, end, carried, out) && ascending;
+#else
+  return PrefixSumPacked32Scalar(v, begin, end, prev, out);
 #endif
 }
 

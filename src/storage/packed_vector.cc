@@ -2,7 +2,50 @@
 
 #include "storage/packed_vector.h"
 
+#include <array>
+#include <utility>
+
 namespace deltamerge {
+
+namespace {
+
+/// Code J of a block of B-bit codes: its word index, shift and mask are
+/// compile-time constants, and only a code that straddles two words reads
+/// the second.
+template <unsigned B, unsigned J>
+void UnpackCode(const uint64_t* w, uint32_t* out) {
+  constexpr unsigned kWord = J * B / 64;
+  constexpr unsigned kShift = J * B % 64;
+  uint64_t v = w[kWord] >> kShift;
+  if constexpr (kShift + B > 64) v |= w[kWord + 1] << (64 - kShift);
+  out[J] = static_cast<uint32_t>(v & LowBitsMask(B));
+}
+
+template <unsigned B, size_t... J>
+void UnpackCodes(const uint64_t* w, uint32_t* out,
+                 std::index_sequence<J...>) {
+  (UnpackCode<B, J>(w, out), ...);
+}
+
+/// The 64 codes of one block (B words), fully unrolled.
+template <unsigned B>
+void UnpackBlock(const uint64_t* w, uint32_t* out) {
+  UnpackCodes<B>(w, out, std::make_index_sequence<64>{});
+}
+
+using UnpackBlockFn = void (*)(const uint64_t*, uint32_t*);
+
+template <size_t... I>
+constexpr std::array<UnpackBlockFn, sizeof...(I)> UnpackBlockTable(
+    std::index_sequence<I...>) {
+  return {&UnpackBlock<I + 1>...};
+}
+
+/// kUnpackBlock[b - 1] decodes a block of b-bit codes.
+constexpr auto kUnpackBlock =
+    UnpackBlockTable(std::make_index_sequence<PackedVector::kMaxBits>{});
+
+}  // namespace
 
 void PackedVector::Reset(uint64_t size, uint8_t bits) {
   DM_CHECK_MSG(bits >= 1 && bits <= kMaxBits, "code width out of range");
@@ -12,6 +55,17 @@ void PackedVector::Reset(uint64_t size, uint8_t bits) {
   // One spare word so the two-word read in Get()/Reader is always in bounds
   // even when the last code ends exactly at a word boundary.
   buffer_ = AlignedBuffer(PackedBytes(size, bits) + sizeof(uint64_t));
+}
+
+void PackedVector::Unpack(uint64_t first, uint64_t n, uint32_t* out) const {
+  DM_DCHECK(first % 64 == 0 && first + n <= size_);
+  const UnpackBlockFn unpack = kUnpackBlock[bits_ - 1];
+  uint64_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    unpack(words() + (first + i) / 64 * bits_, out + i);
+  }
+  Reader r(*this, first + i);
+  for (; i < n; ++i) out[i] = r.Next();
 }
 
 Status PackedVector::Serialize(FileWriter& out) const {

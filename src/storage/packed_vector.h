@@ -60,6 +60,13 @@ class PackedVector {
   /// against the word count so corrupt checkpoints fail loudly.
   static Result<PackedVector> Deserialize(FileReader& in);
 
+  /// Decodes codes [first, first + n) into out[0, n). `first` must be a
+  /// multiple of 64: each 64-code block fills exactly bits() words, and a
+  /// decoder built per width decodes it with constant shifts and no branch
+  /// — several times faster per code than Reader::Next. Codes past the
+  /// last whole block go through a Reader.
+  void Unpack(uint64_t first, uint64_t n, uint32_t* out) const;
+
   /// Reads code `i`. Hot path: two shifted loads at most.
   uint32_t Get(uint64_t i) const {
     DM_DCHECK(i < size_);

@@ -77,8 +77,8 @@ std::vector<uint64_t> ValidityVector::CopyWordsAtTs(uint64_t rows,
   std::vector<uint64_t> out = CopyWordsPrefix(rows);
   // Invalidation timestamps are monotone (commit order), so the entries to
   // resurrect — committed after read_ts — form a suffix of the log. A ts-0
-  // entry is the pre-MVCC sentinel ("invalid at every read timestamp") and
-  // never qualifies, matching IsValidAtTs.
+  // entry is the sentinel ("invalid at every read timestamp") and never
+  // qualifies, matching IsValidAtTs.
   auto it = std::lower_bound(tombstones_.begin(), tombstones_.end(), read_ts,
                              [](const Tombstone& t, uint64_t ts) {
                                return t.ts <= ts;
@@ -87,12 +87,6 @@ std::vector<uint64_t> ValidityVector::CopyWordsAtTs(uint64_t rows,
     if (it->row < rows) out[it->row >> 6] |= uint64_t{1} << (it->row & 63);
   }
   return out;
-}
-
-std::vector<uint64_t> ValidityVector::CopyInsertTsPrefix(uint64_t rows) const {
-  DM_CHECK_MSG(rows <= size_, "validity prefix beyond vector size");
-  return std::vector<uint64_t>(
-      insert_ts_.begin(), insert_ts_.begin() + static_cast<ptrdiff_t>(rows));
 }
 
 uint64_t ValidityVector::CountValidPrefix(uint64_t rows) const {
@@ -110,17 +104,13 @@ uint64_t ValidityVector::CountValidPrefix(uint64_t rows) const {
 }
 
 ValidityVector ValidityVector::FromWords(std::vector<uint64_t> words,
-                                         uint64_t rows,
-                                         std::vector<uint64_t> insert_ts) {
+                                         uint64_t rows) {
   DM_CHECK_MSG(words.size() >= ((rows + 63) >> 6),
                "validity words do not cover the row count");
-  DM_CHECK_MSG(insert_ts.empty() || insert_ts.size() == rows,
-               "insert-ts column does not cover the row count");
   ValidityVector v;
   v.words_ = std::move(words);
   v.size_ = rows;
-  v.insert_ts_ = std::move(insert_ts);
-  v.insert_ts_.resize(rows, 0);
+  v.insert_ts_.assign(rows, 0);
   // Clear any stray bits beyond `rows` so valid_count_ and IsValid agree.
   if ((rows & 63) != 0) {
     v.words_[rows >> 6] &= (uint64_t{1} << (rows & 63)) - 1;

@@ -14,10 +14,11 @@
 // the table's commit clock (EpochManager): every committing write advances
 // the clock and stamps with the NEW value, so they are strictly monotone in
 // commit order — which makes the tombstone log monotone too, and pruning a
-// prefix of it sound. Timestamp 0 is the pre-MVCC sentinel ("outside any
-// snapshot's history"): a ts-0 insert is visible to every read timestamp,
-// a ts-0 invalidation to none. The table never stamps 0; plain unit tests
-// and legacy checkpoint images do.
+// prefix of it sound. Timestamp 0 is the "outside any snapshot's history"
+// sentinel: a ts-0 insert is visible to every read timestamp, a ts-0
+// invalidation to none. A committing write never stamps 0, but every row a
+// checkpoint restores carries it: no snapshot survives a restart, so none
+// can precede those rows (plain unit tests stamp 0 too).
 //
 // The log orders pruning: entries at or below every pinned snapshot's read
 // timestamp answer "invalid" exactly like an absent entry, so they can be
@@ -61,7 +62,8 @@ class ValidityVector {
   /// prune discipline guarantees this for every live snapshot).
   bool IsValidAtTs(uint64_t row, uint64_t read_ts) const;
 
-  /// Commit timestamp of the insert that created `row` (0 = pre-MVCC).
+  /// Commit timestamp of the insert that created `row` (0 = before any
+  /// snapshot: restored by a checkpoint, or appended without a stamp).
   uint64_t insert_ts(uint64_t row) const {
     DM_DCHECK(row < size_);
     return insert_ts_[row];
@@ -117,21 +119,13 @@ class ValidityVector {
   /// above `read_ts` have not been pruned.
   std::vector<uint64_t> CopyWordsAtTs(uint64_t rows, uint64_t read_ts) const;
 
-  /// The insert timestamps of the first `rows` rows — persisted alongside
-  /// the words so recovered rows keep their MVCC history (a checkpoint also
-  /// records the commit clock; recovery seeds the clock from it so these
-  /// stamps stay <= every post-restart read timestamp).
-  std::vector<uint64_t> CopyInsertTsPrefix(uint64_t rows) const;
-
   /// Valid rows among the first `rows` rows.
   uint64_t CountValidPrefix(uint64_t rows) const;
 
   /// Rebuilds a vector of `rows` rows from checkpoint words (the inverse of
-  /// CopyWordsPrefix); the tombstone log starts empty — recovery has no
-  /// pinned snapshots. `insert_ts` restores the per-row stamps (empty =
-  /// all 0, the pre-MVCC image).
-  static ValidityVector FromWords(std::vector<uint64_t> words, uint64_t rows,
-                                  std::vector<uint64_t> insert_ts = {});
+  /// CopyWordsPrefix), every row stamped ts 0; the tombstone log starts
+  /// empty — recovery has no pinned snapshots.
+  static ValidityVector FromWords(std::vector<uint64_t> words, uint64_t rows);
 
  private:
   struct Tombstone {

@@ -130,6 +130,30 @@ TEST_P(PackedVectorWidthTest, ReaderMatchesGet) {
   }
 }
 
+TEST_P(PackedVectorWidthTest, UnpackMatchesGet) {
+  const uint8_t bits = static_cast<uint8_t>(GetParam());
+  const uint64_t n = 64 * 9 + 37;  // whole blocks plus a Reader tail
+  const uint64_t mask = LowBitsMask(bits);
+  PackedVector v(n, bits);
+  Rng rng(111 + bits);
+  for (uint64_t i = 0; i < n; ++i) {
+    v.Set(i, static_cast<uint32_t>(rng.Next() & mask));
+  }
+  for (uint64_t first : {uint64_t{0}, uint64_t{64}, uint64_t{64 * 9}}) {
+    for (uint64_t count : {uint64_t{0}, uint64_t{1}, uint64_t{63},
+                           uint64_t{64}, uint64_t{130}, n - first}) {
+      if (first + count > n) continue;
+      std::vector<uint32_t> out(count + 1, 0xdeadbeef);
+      v.Unpack(first, count, out.data());
+      for (uint64_t i = 0; i < count; ++i) {
+        ASSERT_EQ(out[i], v.Get(first + i))
+            << "first " << first << " count " << count << " i " << i;
+      }
+      ASSERT_EQ(out[count], 0xdeadbeef) << "wrote past the range";
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllWidths, PackedVectorWidthTest,
                          ::testing::Range(1, 33));
 

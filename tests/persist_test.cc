@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -348,6 +349,312 @@ TEST(StorageSerializationTest, DictionaryAllWidths) {
   DictionaryRoundtrip<4>();
   DictionaryRoundtrip<8>();
   DictionaryRoundtrip<16>();
+}
+
+// --- dictionary codec: raw and delta-packed bodies ---
+
+// Writes the first `n` bytes of `bytes` to `path` (all of them by default).
+void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes,
+                size_t n = SIZE_MAX) {
+  auto out = FileWriter::Create(path);
+  ASSERT_TRUE(out.ok());
+  ASSERT_TRUE(
+      out.ValueOrDie()->Write(bytes.data(), std::min(n, bytes.size())).ok());
+  ASSERT_TRUE(out.ValueOrDie()->Close().ok());
+}
+
+std::vector<uint8_t> ReadBytes(const std::string& path) {
+  auto in = FileReader::Open(path);
+  EXPECT_TRUE(in.ok());
+  if (!in.ok()) return {};
+  std::vector<uint8_t> bytes(in.ValueOrDie()->file_size());
+  EXPECT_TRUE(in.ValueOrDie()->Read(bytes.data(), bytes.size()).ok());
+  return bytes;
+}
+
+// Serializes through `write` (a FileWriter callback) and returns the bytes.
+template <typename Fn>
+std::vector<uint8_t> Encode(const std::string& path, Fn&& write) {
+  {
+    auto out = FileWriter::Create(path);
+    EXPECT_TRUE(out.ok());
+    if (!out.ok()) return {};
+    const Status st = write(*out.ValueOrDie());
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    EXPECT_TRUE(out.ValueOrDie()->Close().ok());
+  }
+  return ReadBytes(path);
+}
+
+template <size_t W>
+Result<Dictionary<W>> DecodeDictionary(const std::string& path) {
+  DM_ASSIGN_OR_RETURN(std::unique_ptr<FileReader> in, FileReader::Open(path));
+  return Dictionary<W>::Deserialize(*in);
+}
+
+template <size_t W>
+FixedValue<W> Val(uint64_t hi, uint64_t lo) {
+  if constexpr (W == 16) {
+    return FixedValue<W>::FromKeyPair(hi, lo);
+  } else {
+    EXPECT_EQ(hi, 0u);
+    return FixedValue<W>::FromKey(lo);
+  }
+}
+
+template <size_t W>
+unsigned __int128 Wide(const FixedValue<W>& v) {
+  if constexpr (W == 16) {
+    return (static_cast<unsigned __int128>(v.repr.hi) << 64) | v.repr.lo;
+  } else {
+    return v.key();
+  }
+}
+
+// Hand-builds a delta-packed body: count, tag, first value, then `gaps` as
+// a PackedVector of `bits`-bit codes.
+template <size_t W>
+std::vector<uint8_t> PackedDictionaryBytes(const std::string& path,
+                                           uint64_t count, FixedValue<W> first,
+                                           const std::vector<uint32_t>& gaps,
+                                           uint8_t bits = 32, uint8_t tag = 1) {
+  return Encode(path, [&](FileWriter& out) -> Status {
+    DM_RETURN_NOT_OK(out.WriteU64(count));
+    DM_RETURN_NOT_OK(out.WriteU8(tag));
+    DM_RETURN_NOT_OK(out.Write(&first, sizeof(first)));
+    PackedVector packed(gaps.size(), bits);
+    PackedVector::Writer w(packed);
+    for (uint32_t g : gaps) w.Append(g);
+    return packed.Serialize(out);
+  });
+}
+
+// Hand-builds a raw body: count, tag 0, then the values as one array.
+template <size_t W>
+std::vector<uint8_t> RawDictionaryBytes(
+    const std::string& path, const std::vector<FixedValue<W>>& values) {
+  return Encode(path, [&](FileWriter& out) -> Status {
+    DM_RETURN_NOT_OK(out.WriteU64(values.size()));
+    DM_RETURN_NOT_OK(out.WriteU8(0));
+    if (values.empty()) return Status::OK();
+    return out.Write(values.data(), values.size() * sizeof(FixedValue<W>));
+  });
+}
+
+// Round-trips `values` (sorted-unique) through both bodies and through
+// Serialize's choice, and checks that choice against body sizes worked out
+// here with 128-bit gaps: the packed body exists for two or more values
+// whose gaps are all below 2^32, and Serialize writes it iff it is smaller.
+template <size_t W>
+void ExpectCodecRoundTrip(const std::string& path,
+                          const std::vector<FixedValue<W>>& values,
+                          const std::string& label) {
+  SCOPED_TRACE(label + " W=" + std::to_string(W) +
+               " n=" + std::to_string(values.size()));
+  const Dictionary<W> dict = Dictionary<W>::FromSortedUnique(values);
+  unsigned __int128 max_gap = 0;
+  for (size_t i = 1; i < values.size(); ++i) {
+    ASSERT_LT(Wide(values[i - 1]), Wide(values[i]));
+    max_gap = std::max(max_gap, Wide(values[i]) - Wide(values[i - 1]));
+  }
+  const uint64_t raw_bytes = 9 + values.size() * W;
+  const bool packable =
+      values.size() >= 2 && max_gap < (static_cast<unsigned __int128>(1) << 32);
+  const uint64_t packed_bytes =
+      packable ? 9 + W + 17 +
+                     PackedBytes(values.size() - 1,
+                                 static_cast<uint8_t>(std::bit_width(
+                                     static_cast<uint64_t>(max_gap))))
+               : 0;
+  const bool expect_packed = packable && packed_bytes < raw_bytes;
+
+  auto expect_decodes = [&](const std::vector<uint8_t>& bytes) {
+    WriteBytes(path, bytes);
+    auto back = DecodeDictionary<W>(path);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    ASSERT_EQ(back.ValueOrDie().size(), values.size());
+    for (size_t i = 0; i < values.size(); ++i) {
+      ASSERT_EQ(back.ValueOrDie().At(static_cast<uint32_t>(i)), values[i])
+          << "value " << i;
+    }
+  };
+
+  const std::vector<uint8_t> chosen =
+      Encode(path, [&](FileWriter& out) { return dict.Serialize(out); });
+  ASSERT_GE(chosen.size(), 9u);
+  EXPECT_EQ(chosen[8], static_cast<uint8_t>(
+                           expect_packed ? DictionaryEncoding::kDeltaPacked
+                                         : DictionaryEncoding::kRaw));
+  EXPECT_EQ(chosen.size(), expect_packed ? packed_bytes : raw_bytes);
+  expect_decodes(chosen);
+
+  const std::vector<uint8_t> raw = RawDictionaryBytes<W>(path, values);
+  EXPECT_EQ(raw.size(), raw_bytes);
+  expect_decodes(raw);
+
+  if (packable) {
+    std::vector<uint32_t> gaps;
+    for (size_t i = 1; i < values.size(); ++i) {
+      gaps.push_back(
+          static_cast<uint32_t>(Wide(values[i]) - Wide(values[i - 1])));
+    }
+    const std::vector<uint8_t> packed = PackedDictionaryBytes<W>(
+        path, values.size(), values[0], gaps,
+        static_cast<uint8_t>(std::bit_width(static_cast<uint64_t>(max_gap))));
+    EXPECT_EQ(packed.size(), packed_bytes);
+    expect_decodes(packed);
+    if (expect_packed) {
+      EXPECT_EQ(chosen, packed);
+    }
+  }
+  if (!expect_packed) {
+    EXPECT_EQ(chosen, raw);
+  }
+}
+
+template <size_t W>
+void DictionaryCodecCases() {
+  using V = FixedValue<W>;
+  ScratchDir dir("dictcodec");
+  const std::string path = dir.path() + "/d";
+  auto run = [&](const std::vector<uint64_t>& lows, uint64_t hi,
+                 const std::string& label) {
+    std::vector<V> values;
+    for (uint64_t lo : lows) values.push_back(Val<W>(hi, lo));
+    ExpectCodecRoundTrip<W>(path, values, label);
+  };
+  auto dense = [](uint64_t first, uint64_t n) {
+    std::vector<uint64_t> out;
+    for (uint64_t i = 0; i < n; ++i) out.push_back(first + i);
+    return out;
+  };
+  auto sparse = [](uint64_t domain, uint64_t n, uint64_t seed) {
+    std::vector<uint64_t> out;
+    Rng rng(seed);
+    for (uint64_t i = 0; i < n; ++i) out.push_back(rng.Below(domain));
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  };
+  const uint64_t max_lo = V::Max().key();  // the low word's top value
+
+  run({}, 0, "empty");
+  run({42}, 0, "one value");
+  run(dense(7, 1000), 0, "dense run");
+  run(sparse(uint64_t{1} << 20, 3000, 1), 0, "2^20 domain");
+  run(dense(max_lo - 499, 500), W == 16 ? ~uint64_t{0} : 0,
+      "ending at Max()");
+  if constexpr (W == 4) {
+    // 4-byte values hold no 2^40 domain and no gap of 2^32. The whole
+    // 32-bit range in one gap is packable, but 8 raw bytes win.
+    run({0, max_lo}, 0, "gap 2^32-1");
+  } else {
+    // 200 draws from 2^40 average a gap above 2^32: raw by the gap cap.
+    run(sparse(uint64_t{1} << 40, 200, 2), 0, "2^40 domain");
+    std::vector<uint64_t> below_cap = dense(0, 100);
+    below_cap.push_back(99 + ((uint64_t{1} << 32) - 1));
+    run(below_cap, 0, "gap 2^32-1");
+    std::vector<uint64_t> at_cap = dense(0, 100);
+    at_cap.push_back(99 + (uint64_t{1} << 32));
+    run(at_cap, 0, "gap 2^32");
+  }
+  if constexpr (W == 16) {
+    // Runs that carry from the low word into the high word, at 1-bit gaps
+    // and at gaps of 2^31.
+    std::vector<V> carry;
+    for (uint64_t i = 0; i < 300; ++i) {
+      const uint64_t lo = ~uint64_t{0} - 149 + i;  // wraps after i = 149
+      carry.push_back(V::FromKeyPair(i < 150 ? 5 : 6, lo));
+    }
+    ExpectCodecRoundTrip<W>(path, carry, "carry, gap 1");
+    std::vector<V> wide_carry;
+    unsigned __int128 v = (static_cast<unsigned __int128>(7) << 64) -
+                          (static_cast<unsigned __int128>(20) << 31);
+    for (int i = 0; i < 40; ++i) {
+      wide_carry.push_back(V::FromKeyPair(static_cast<uint64_t>(v >> 64),
+                                          static_cast<uint64_t>(v)));
+      v += static_cast<unsigned __int128>(1) << 31;
+    }
+    ExpectCodecRoundTrip<W>(path, wide_carry, "carry, gap 2^31");
+  }
+}
+
+TEST(StorageSerializationTest, DictionaryCodecRoundTripsAndPicksSmallerBody) {
+  DictionaryCodecCases<4>();
+  DictionaryCodecCases<8>();
+  DictionaryCodecCases<16>();
+}
+
+template <size_t W>
+void DictionaryRefusalCases() {
+  SCOPED_TRACE("W=" + std::to_string(W));
+  using V = FixedValue<W>;
+  ScratchDir dir("dictrefuse");
+  const std::string path = dir.path() + "/d";
+  auto refused = [&](const std::vector<uint8_t>& bytes, const char* what) {
+    WriteBytes(path, bytes);
+    EXPECT_FALSE(DecodeDictionary<W>(path).ok()) << what;
+  };
+  const V top = V::Max();
+  V near_top = top;  // Max() - 2
+  if constexpr (W == 16) {
+    near_top.repr.lo -= 2;
+  } else {
+    near_top.repr.word -= 2;
+  }
+
+  // Control: a hand-built body that ends exactly at Max() decodes.
+  WriteBytes(path, PackedDictionaryBytes<W>(path, 3, near_top, {1, 1}));
+  auto at_max = DecodeDictionary<W>(path);
+  ASSERT_TRUE(at_max.ok()) << at_max.status().ToString();
+  EXPECT_EQ(at_max.ValueOrDie().At(2), top);
+
+  refused(PackedDictionaryBytes<W>(path, 4, Val<W>(0, 10), {1, 0, 3}),
+          "zero gap");
+  refused(PackedDictionaryBytes<W>(path, 4, near_top, {1, 1, 1}),
+          "sum one past Max()");
+  refused(PackedDictionaryBytes<W>(path, 2, near_top, {~uint32_t{0}}),
+          "one gap far past Max()");
+  if constexpr (W == 16) {
+    // A low-word carry into an all-ones high word.
+    refused(PackedDictionaryBytes<W>(
+                path, 2, V::FromKeyPair(~uint64_t{0}, ~uint64_t{0} - 3), {9}),
+            "carry past Max()");
+  }
+  for (uint8_t tag : {uint8_t{2}, uint8_t{255}}) {
+    refused(PackedDictionaryBytes<W>(path, 3, Val<W>(0, 1), {1, 1}, 32, tag),
+            "unknown tag");
+  }
+  refused(PackedDictionaryBytes<W>(path, 4, Val<W>(0, 1), {1, 1}),
+          "too few gaps");
+  refused(PackedDictionaryBytes<W>(path, 4, Val<W>(0, 1), {1, 1, 1, 1}),
+          "too many gaps");
+  refused(PackedDictionaryBytes<W>(path, 1, Val<W>(0, 1), {}),
+          "packed body with one value");
+  refused(PackedDictionaryBytes<W>(path, 0, Val<W>(0, 1), {}),
+          "packed body with no value");
+  refused(RawDictionaryBytes<W>(path, {Val<W>(0, 9), Val<W>(0, 4)}),
+          "unsorted raw body");
+
+  // Truncation at every byte of a small packed dictionary.
+  std::vector<V> small;
+  for (uint64_t k = 100; k < 120; ++k) small.push_back(Val<W>(0, k * 3));
+  const Dictionary<W> dict = Dictionary<W>::FromSortedUnique(small);
+  const std::vector<uint8_t> full =
+      Encode(path, [&](FileWriter& out) { return dict.Serialize(out); });
+  ASSERT_EQ(full[8], static_cast<uint8_t>(DictionaryEncoding::kDeltaPacked));
+  for (size_t cut = 0; cut < full.size(); ++cut) {
+    WriteBytes(path, full, cut);
+    EXPECT_FALSE(DecodeDictionary<W>(path).ok()) << "cut at byte " << cut;
+  }
+  WriteBytes(path, full);
+  EXPECT_TRUE(DecodeDictionary<W>(path).ok());
+}
+
+TEST(StorageSerializationTest, DictionaryDecoderRefusesCorruptBodies) {
+  DictionaryRefusalCases<4>();
+  DictionaryRefusalCases<8>();
+  DictionaryRefusalCases<16>();
 }
 
 TEST(StorageSerializationTest, PackedVectorRoundtrip) {
@@ -842,6 +1149,119 @@ TEST(DurableTableTest, CorruptCheckpointWithoutHistoryIsAnError) {
   EXPECT_FALSE(reopened.ok());
 }
 
+TEST(DurableTableTest, OlderCheckpointVersionIsRefused) {
+  ScratchDir dir("dtversion");
+  DurableTableOptions options;
+  {
+    auto opened = DurableTable::Open(dir.path(), TestSchema(), options);
+    ASSERT_TRUE(opened.ok());
+    auto& t = opened.ValueOrDie()->table();
+    for (uint64_t i = 0; i < 64; ++i) t.InsertRow({i, i, i});
+    TableMergeOptions merge;
+    ASSERT_TRUE(t.Merge(merge).ok());
+  }
+  auto ckpts = persist::ListCheckpoints(dir.path());
+  ASSERT_TRUE(ckpts.ok());
+  ASSERT_EQ(ckpts.ValueOrDie().size(), 1u);
+  const std::string path = dir.path() + "/" + ckpts.ValueOrDie()[0].second;
+  const std::vector<uint8_t> bytes = ReadBytes(path);
+  ASSERT_GT(bytes.size(), 16u);
+  // Rewrites the version field (after the 8-byte magic) and re-seals the
+  // CRC trailer over everything after the magic, so the version is the
+  // file's only defect.
+  auto write_version = [&](uint32_t version) {
+    std::vector<uint8_t> patched = bytes;
+    std::memcpy(patched.data() + 8, &version, sizeof(version));
+    const uint32_t crc = Crc32(patched.data() + 8, patched.size() - 12);
+    std::memcpy(patched.data() + patched.size() - 4, &crc, sizeof(crc));
+    WriteBytes(path, patched);
+  };
+  write_version(3);  // control: the re-sealed current version still reads
+  ASSERT_TRUE(persist::ReadCheckpoint(path).ok());
+  for (uint32_t old_version : {1u, 2u}) {
+    SCOPED_TRACE("version " + std::to_string(old_version));
+    write_version(old_version);
+    auto read = persist::ReadCheckpoint(path);
+    ASSERT_FALSE(read.ok());
+    EXPECT_NE(read.status().ToString().find("unsupported checkpoint version"),
+              std::string::npos)
+        << read.status().ToString();
+    // Recovery skips the file; with no older checkpoint and the covered
+    // WAL segments gone, the open fails instead of dropping 64 rows.
+    EXPECT_FALSE(DurableTable::Open(dir.path(), TestSchema(), options).ok());
+  }
+}
+
+TEST(DurableTableTest, RestoredRowsAreVisibleToEverySnapshotAndKeepHistory) {
+  // Checkpoints carry no insert timestamps: recovery loads every restored
+  // row at ts 0. Every post-restart snapshot must see every restored row,
+  // and a snapshot must still see a restored row's old version after a
+  // later update or delete.
+  ScratchDir dir("dtrestored");
+  constexpr uint64_t kCapacity = 150;
+  constexpr uint64_t kRows = 400;  // two sealed segments and a tail
+  DurableTableOptions options;
+  {
+    auto opened = persist::DurablePartitionedTable::Open(
+        dir.path(), TestSchema(), kCapacity, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    PartitionedTable& t = opened.ValueOrDie()->table();
+    for (uint64_t i = 0; i < kRows; ++i) t.InsertRow({i, i % 7, i * 3});
+    ASSERT_TRUE(t.DeleteRow(5).ok());
+    t.MergeAll(TableMergeOptions{});  // every segment checkpoints
+    ASSERT_TRUE(t.DeleteRow(160).ok());  // replay tail
+  }
+  auto reopened = persist::DurablePartitionedTable::Open(
+      dir.path(), TestSchema(), kCapacity, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const auto& segments = reopened.ValueOrDie()->recovery().segments;
+  ASSERT_EQ(segments.size(), 3u);
+  for (size_t i = 0; i < segments.size(); ++i) {
+    EXPECT_TRUE(segments[i].checkpoint_loaded) << "segment " << i;
+    EXPECT_EQ(segments[i].checkpoint_rows, i < 2 ? kCapacity : 100u);
+  }
+  PartitionedTable& t = reopened.ValueOrDie()->table();
+  uint64_t valid_sum = 0;
+  for (uint64_t row = 0; row < kRows; ++row) {
+    if (row != 5 && row != 160) valid_sum += row;
+  }
+  auto expect_restored_state = [&](const PartitionedSnapshot& snap) {
+    for (uint64_t row = 0; row < kRows; ++row) {
+      ASSERT_EQ(snap.GetKey(0, row), row);
+      ASSERT_EQ(snap.IsRowValid(row), row != 5 && row != 160) << row;
+    }
+    EXPECT_EQ(snap.CountRange(0, 0, kRows, /*only_valid=*/false), kRows);
+    EXPECT_EQ(snap.CountRange(0, 0, kRows, /*only_valid=*/true), kRows - 2);
+    EXPECT_EQ(snap.SumColumn(0, /*only_valid=*/true), valid_sum);
+  };
+
+  const PartitionedSnapshot first = t.CreateSnapshot();
+  ASSERT_EQ(first.num_rows(), kRows);
+  EXPECT_EQ(first.valid_rows(), kRows - 2);
+  expect_restored_state(first);
+
+  // Update a restored row of segment 0 and delete one of segment 1 (both
+  // loaded from checkpoints), with a snapshot taken before the writes.
+  const PartitionedSnapshot before = t.CreateSnapshot();
+  const uint64_t new_row = t.UpdateRow(10, {1000, 1, 1});
+  ASSERT_TRUE(t.DeleteRow(200).ok());
+  const PartitionedSnapshot after = t.CreateSnapshot();
+
+  for (const PartitionedSnapshot* snap : {&first, &before}) {
+    EXPECT_EQ(snap->num_rows(), kRows);
+    expect_restored_state(*snap);  // still the old versions
+  }
+  ASSERT_EQ(after.num_rows(), kRows + 1);
+  EXPECT_FALSE(after.IsRowValid(10));
+  EXPECT_FALSE(after.IsRowValid(200));
+  EXPECT_TRUE(after.IsRowValid(new_row));
+  EXPECT_EQ(after.GetKey(0, new_row), 1000u);
+  EXPECT_TRUE(after.IsRowValid(11));
+  EXPECT_EQ(after.CountRange(0, 0, kRows, /*only_valid=*/true), kRows - 4);
+  EXPECT_EQ(after.SumColumn(0, /*only_valid=*/true),
+            valid_sum - 10 - 200 + 1000);
+}
+
 TEST(DurableTableTest, MidMergeTombstoneBelongsToReplayTailNotCheckpoint) {
   // A delete that lands while the merge body runs has an LSN >= the
   // checkpoint's replay LSN — so its effect must live in the WAL tail,
@@ -1299,11 +1719,11 @@ struct GoldenFile {
 // longer validate).
 constexpr GoldenFile kGoldenFiles[] = {
     {"manifest-00000000000000000004.dmpm", 103, 0xaaa72ff0},
-    {"seg-000000/ckpt-00000000000000000217.dmck", 11786, 0x55a7e5b5},
+    {"seg-000000/ckpt-00000000000000000217.dmck", 2092, 0x04fdbe0b},
     {"seg-000000/wal-00000000000000000217.log", 6983, 0x935f3f7a},
-    {"seg-000001/ckpt-00000000000000000206.dmck", 11702, 0x0822eb57},
+    {"seg-000001/ckpt-00000000000000000206.dmck", 2084, 0x23ac98bf},
     {"seg-000001/wal-00000000000000000206.log", 1601, 0xaec340a7},
-    {"seg-000002/ckpt-00000000000000000159.dmck", 8966, 0x9ab56fc8},
+    {"seg-000002/ckpt-00000000000000000159.dmck", 1596, 0xeede8a4f},
     {"seg-000002/wal-00000000000000000159.log", 4669, 0xb86dcec2},
     {"seg-000003/wal-00000000000000000001.log", 5952, 0x3ca71d68},
 };

@@ -207,6 +207,17 @@ TEST_P(SimdKernelSweepTest, EveryKernelBitExactAcrossLengths) {
             one_got);
         ASSERT_EQ(one_got[0], mc_want[1]);
         ASSERT_EQ(one_got[1], 0u);
+
+        // Running sums, from far below the lane's top and from just under
+        // it (the sums wrap, which must read as not ascending).
+        for (const uint32_t prev : {uint32_t{5}, ~uint32_t{0} - 40}) {
+          std::vector<uint32_t> p32_got(n), p32_want(n);
+          ASSERT_EQ(
+              simd::PrefixSumPacked32(v, begin, end, prev, p32_got.data()),
+              simd::PrefixSumPacked32Scalar(v, begin, end, prev,
+                                            p32_want.data()));
+          ASSERT_EQ(p32_got, p32_want);
+        }
       }
     }
   }
@@ -214,6 +225,52 @@ TEST_P(SimdKernelSweepTest, EveryKernelBitExactAcrossLengths) {
 
 INSTANTIATE_TEST_SUITE_P(AllWidths, SimdKernelSweepTest,
                          ::testing::Range(1, 33));
+
+// PrefixSumPacked32 on runs long enough for the vector body at every
+// width (the sweep above stays below SafeVectorEnd at narrow widths), with
+// zero-free codes — so the ascending result is true unless a zero is
+// planted or the sums wrap — against the scalar twin and a plain loop.
+TEST(SimdPrefixSum, LongRunsMatchScalarAtEveryWidth) {
+  for (int bits = 1; bits <= 32; ++bits) {
+    Rng rng(500 + static_cast<uint64_t>(bits));
+    const uint64_t mask = LowBitsMask(static_cast<uint8_t>(bits));
+    for (const uint64_t n : {uint64_t{300}, uint64_t{1000}}) {
+      PackedVector v(n, static_cast<uint8_t>(bits));
+      for (uint64_t i = 0; i < n; ++i) {
+        v.Set(i, static_cast<uint32_t>(1 + rng.Below(mask)));
+      }
+      for (const int zero_at : {-1, 0, 7, 8, static_cast<int>(n) - 1}) {
+        if (zero_at >= 0) v.Set(static_cast<uint64_t>(zero_at), 0);
+        for (const uint64_t begin : {uint64_t{0}, uint64_t{5}}) {
+          SCOPED_TRACE(testing::Message() << "bits=" << bits << " n=" << n
+                                          << " zero_at=" << zero_at
+                                          << " begin=" << begin);
+          const bool zero_in_range =
+              zero_at >= 0 && static_cast<uint64_t>(zero_at) >= begin;
+          // Start low (ascending unless a zero is planted), then 500 below
+          // the top, where most runs wrap.
+          for (const uint32_t prev : {uint32_t{3}, ~uint32_t{0} - 500}) {
+            std::vector<uint32_t> got(n), want(n), plain(n);
+            const bool ok = simd::PrefixSumPacked32(v, begin, n, prev,
+                                                    got.data());
+            ASSERT_EQ(ok, simd::PrefixSumPacked32Scalar(v, begin, n, prev,
+                                                        want.data()));
+            uint64_t run = prev;
+            bool wraps = false;
+            for (uint64_t i = begin; i < n; ++i) {
+              run += v.Get(i);
+              wraps |= run > ~uint32_t{0};
+              plain[i] = static_cast<uint32_t>(run);
+            }
+            ASSERT_EQ(got, want);
+            ASSERT_EQ(got, plain);
+            ASSERT_EQ(ok, !zero_in_range && !wraps);
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(SimdScan, AllEqualAndNoneEqual) {
   PackedVector v(1000, 12);
