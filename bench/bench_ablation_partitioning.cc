@@ -34,10 +34,9 @@ struct IngestOutcome {
 /// Inserts `total_rows` seeded rows in `batch`-row rounds and runs one
 /// 1%-triggered merge pass after each round.
 IngestOutcome Ingest(PartitionedTable* t, uint64_t total_rows, uint64_t batch) {
-  MergeDaemonPolicy policy;  // fill-only: the bare §4 trigger
+  MergeDaemonPolicy policy;
   policy.delta_fraction = 0.01;
   policy.min_delta_rows = 256;
-  policy.rate_lookahead = false;
   IngestOutcome out;
   Rng rng(1234);
   std::vector<uint64_t> row(t->num_columns());

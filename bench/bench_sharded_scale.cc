@@ -57,7 +57,6 @@ IngestResult IngestPartitioned(PartitionedTable* table, uint64_t total,
   MergeDaemonPolicy policy;
   policy.delta_fraction = 0.01;
   policy.min_delta_rows = 256;
-  policy.rate_lookahead = false;
   IngestResult out;
   Rng rng(4242);
   const uint64_t t0 = CycleClock::Now();

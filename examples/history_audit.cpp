@@ -45,7 +45,6 @@ int main() {
   MergeDaemonPolicy policy;
   policy.delta_fraction = 0.02;
   policy.min_delta_rows = 1024;
-  policy.rate_lookahead = false;
   TableMergeOptions merge_options;
 
   // Track the current row of each account plus a reference balance sheet.

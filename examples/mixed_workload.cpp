@@ -85,7 +85,6 @@ int main() {
   MergeDaemonPolicy policy;
   policy.delta_fraction = 0.01;
   policy.min_delta_rows = 4096;
-  policy.rate_lookahead = false;
   TableMergeOptions merge_options;
   merge_options.merge.algorithm = MergeAlgorithm::kLinear;
   merge_options.num_threads = threads;

@@ -149,15 +149,6 @@ uint64_t PartitionedTable::delta_rows() const {
   return FanOutSum([](const Segment& s) { return s.table->delta_rows(); });
 }
 
-uint64_t PartitionedTable::tail_delta_rows() const {
-  std::shared_ptr<Segment> tail;
-  {
-    ReaderMutexLock lock(segments_mu_);
-    tail = segments_.back();
-  }
-  return tail->table->delta_rows();
-}
-
 std::shared_ptr<PartitionedTable::Segment> PartitionedTable::TailLocked()
     const {
   ReaderMutexLock lock(segments_mu_);
@@ -837,9 +828,16 @@ PartitionedSnapshot PartitionedTable::CreateSnapshot() const {
   return out;
 }
 
+bool MergeDue(const Table& table, const MergeDaemonPolicy& policy) {
+  const Table::DeltaFill fill = table.delta_fill();
+  return fill.delta_rows >= policy.min_delta_rows &&
+         static_cast<double>(fill.delta_rows) >
+             policy.delta_fraction * static_cast<double>(fill.main_rows);
+}
+
 PartitionedMergeReport PartitionedTable::MergeDueSegments(
     const MergeDaemonPolicy& policy, const TableMergeOptions& options,
-    double tail_delta_rows_per_sec, std::atomic<bool>* merge_in_flight) {
+    std::atomic<bool>* merge_in_flight) {
   PartitionedMergeReport report;
   const std::vector<std::shared_ptr<Segment>> segs = CaptureSegments();
   for (const auto& seg : segs) {
@@ -862,9 +860,7 @@ PartitionedMergeReport PartitionedTable::MergeDueSegments(
         continue;
       }
       is_final = true;
-    } else if (EvaluateMergeTrigger(*seg->table, policy, options.num_threads,
-                                    tail_delta_rows_per_sec) ==
-               MergeTrigger::kNone) {
+    } else if (!MergeDue(*seg->table, policy)) {
       continue;
     }
     if (merge_in_flight != nullptr) {
@@ -918,7 +914,6 @@ PartitionedMergeReport PartitionedTable::MergeAll(
   MergeDaemonPolicy everything;
   everything.delta_fraction = 0.0;
   everything.min_delta_rows = 1;
-  everything.rate_lookahead = false;
   return MergeDueSegments(everything, options);
 }
 
@@ -1030,22 +1025,11 @@ PartitionedMergeDaemon::PartitionedMergeDaemon(PartitionedTable* table,
 
 PartitionedMergeDaemon::~PartitionedMergeDaemon() { Stop(); }
 
-void PartitionedMergeDaemon::Start() {
-  MutexLock lock(lifecycle_mu_);
-  if (poller_.running()) return;
-  rate_.Reset(table_->tail_delta_rows());
-  poller_.Start();
-}
+void PartitionedMergeDaemon::Start() { poller_.Start(); }
 
 void PartitionedMergeDaemon::Stop() { poller_.Stop(); }
 
 void PartitionedMergeDaemon::Nudge() { poller_.Nudge(); }
-
-void PartitionedMergeDaemon::Pause() { poller_.Pause(); }
-
-void PartitionedMergeDaemon::Resume() { poller_.Resume(); }
-
-bool PartitionedMergeDaemon::paused() const { return poller_.paused(); }
 
 PartitionedMergeDaemonStats PartitionedMergeDaemon::stats() const {
   MutexLock lock(stats_mu_);
@@ -1055,32 +1039,21 @@ PartitionedMergeDaemonStats PartitionedMergeDaemon::stats() const {
 }
 
 void PartitionedMergeDaemon::PollOnce() {
-  // Tail-only arrival-rate estimate: O(1) in the segment count, where the
-  // table-wide delta_rows() would lock and scan every segment on each
-  // poll. (A just-sealed segment's still-unmerged delta is invisible to
-  // the estimate for one rollover — it is merge work, not new arrival.)
-  const double delta_rows_per_sec = rate_.Update(table_->tail_delta_rows());
+  const PartitionedMergeReport report =
+      table_->MergeDueSegments(policy_, options_, &merge_in_flight_);
 
-  const PartitionedMergeReport report = table_->MergeDueSegments(
-      policy_, options_, delta_rows_per_sec, &merge_in_flight_);
-
-  {
-    MutexLock lock(stats_mu_);
-    if (report.segments_merged > 0) ++stats_.merge_passes;
-    stats_.segments_merged += report.segments_merged;
-    stats_.final_merges += report.final_merges;
-    stats_.failed_merges += report.failed_merges;
-    stats_.segments_compacted += report.segments_compacted;
-    stats_.failed_compactions += report.failed_compactions;
-    stats_.rows_merged += report.table.rows_merged;
-    stats_.merge_wall_cycles += report.table.wall_cycles;
-    stats_.max_segment_wall_cycles = std::max(
-        stats_.max_segment_wall_cycles, report.max_segment_wall_cycles);
-    stats_.merge.Accumulate(report.table.stats);
-  }
-  // Merges shrank the delta; re-anchor so the shrink is not read as zero
-  // arrival next poll.
-  if (report.segments_merged > 0) rate_.Rebase(table_->tail_delta_rows());
+  MutexLock lock(stats_mu_);
+  if (report.segments_merged > 0) ++stats_.merge_passes;
+  stats_.segments_merged += report.segments_merged;
+  stats_.final_merges += report.final_merges;
+  stats_.failed_merges += report.failed_merges;
+  stats_.segments_compacted += report.segments_compacted;
+  stats_.failed_compactions += report.failed_compactions;
+  stats_.rows_merged += report.table.rows_merged;
+  stats_.merge_wall_cycles += report.table.wall_cycles;
+  stats_.max_segment_wall_cycles = std::max(
+      stats_.max_segment_wall_cycles, report.max_segment_wall_cycles);
+  stats_.merge.Accumulate(report.table.stats);
 }
 
 }  // namespace deltamerge

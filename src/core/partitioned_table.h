@@ -73,7 +73,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/merge_daemon.h"
 #include "core/merge_types.h"
 #include "core/snapshot.h"
 #include "core/table.h"
@@ -154,6 +153,32 @@ class PartitionedSnapshot {
   uint64_t valid_rows_ = 0;
   size_t num_columns_ = 0;
 };
+
+/// The merge daemon's trigger policy: §4's fill check plus the sealed-
+/// segment compaction threshold.
+struct MergeDaemonPolicy {
+  /// §4's pre-defined fraction (Figure 9 uses 1%).
+  double delta_fraction = 0.01;
+  /// Floor so freshly created tables don't merge on every insert.
+  uint64_t min_delta_rows = 1024;
+  /// Poll cadence of the watcher thread.
+  uint64_t poll_interval_us = 1000;
+  /// Sealed-segment tombstone compaction, applied by every MergeDueSegments
+  /// pass: once a sealed, final-merged segment's journal holds this many
+  /// records past its newest durable checkpoint — only tombstones from
+  /// later deletes/updates of its rows can accumulate there — the pass
+  /// rewrites a validity-only compaction checkpoint (Table::
+  /// CompactCheckpoint) so the segment's reopen replay stays bounded by
+  /// this threshold instead of growing with lifetime deletes. 0 disables.
+  uint64_t compact_uncheckpointed_records = 0;
+};
+
+/// §4's merge trigger: "when the number of tuples N_D in the delta
+/// partition is greater than a certain pre-defined fraction of tuples in
+/// the main partition N_M". True when N_D >= min_delta_rows and
+/// N_D > delta_fraction * N_M, with N_M and N_D read from column 0's main
+/// and active delta under one shared lock.
+bool MergeDue(const Table& table, const MergeDaemonPolicy& policy);
 
 /// Accumulated outcome of a partitioned merge pass.
 struct PartitionedMergeReport {
@@ -381,22 +406,13 @@ class PartitionedTable {
   /// Total un-merged rows across all segments.
   uint64_t delta_rows() const DM_EXCLUDES(segments_mu_);
 
-  /// Un-merged rows of the open tail segment only — O(1) in the segment
-  /// count, which is what the merge daemon polls every millisecond
-  /// (sealed segments are delta-free after their final merge, so this is
-  /// the whole table's delta in steady state).
-  uint64_t tail_delta_rows() const DM_EXCLUDES(segments_mu_);
-
   /// One merge pass: a sealed segment with any delta gets its final merge
-  /// (after which it is skipped forever); the open tail merges when the
-  /// daemon trigger (§4 fill fraction, §9 cost budget, rate lookahead —
-  /// `tail_delta_rows_per_sec` feeds the lookahead) says it is due.
-  /// `merge_in_flight` (optional) is held true exactly while a segment
-  /// merge body executes — not across trigger evaluation — so observers
-  /// can classify overlap precisely.
+  /// (after which it is skipped forever); the open tail merges when
+  /// MergeDue says §4's fill check is met. `merge_in_flight` (optional) is
+  /// held true exactly while a segment merge body executes — not across
+  /// trigger evaluation — so observers can classify overlap precisely.
   PartitionedMergeReport MergeDueSegments(
       const MergeDaemonPolicy& policy, const TableMergeOptions& options,
-      double tail_delta_rows_per_sec = 0.0,
       std::atomic<bool>* merge_in_flight = nullptr);
 
   /// Merges every segment with a non-empty delta, regardless of policy.
@@ -646,11 +662,13 @@ struct PartitionedMergeDaemonStats {
 /// Background merge driver for a partitioned table: one watcher thread for
 /// the whole table (segments are merged one at a time — the point of
 /// partitioning is that each merge is bounded, not that merges overlap).
-/// Each poll refreshes the tail arrival-rate estimate and runs
-/// MergeDueSegments, which final-merges newly sealed segments and applies
-/// the §4/§9 trigger stack (EvaluateMergeTrigger, core/merge_daemon.h) to
-/// the tail. The only background merge driver: a monolithic table is a
-/// PartitionedTable at capacity UINT64_MAX, whose one segment is the tail.
+/// Each poll runs MergeDueSegments, which final-merges newly sealed
+/// segments and applies §4's fill check (MergeDue) to the tail. The only
+/// background merge driver: a monolithic table is a PartitionedTable at
+/// capacity UINT64_MAX, whose one segment is the tail. Every merge commit
+/// retires the superseded generation into the segment's EpochManager:
+/// readers that pinned a snapshot before the commit keep a consistent
+/// view, and the old main is freed only when their epochs drain.
 class PartitionedMergeDaemon {
  public:
   PartitionedMergeDaemon(PartitionedTable* table, MergeDaemonPolicy policy,
@@ -659,14 +677,11 @@ class PartitionedMergeDaemon {
 
   DM_DISALLOW_COPY_AND_MOVE(PartitionedMergeDaemon);
 
-  void Start() DM_EXCLUDES(lifecycle_mu_);
+  void Start();
   /// Stops the watcher; an in-flight merge pass completes first.
   void Stop();
   /// Wakes the watcher immediately (e.g. after a large batch insert).
   void Nudge();
-  void Pause();
-  void Resume();
-  bool paused() const;
 
   /// True while a segment merge is executing.
   bool merge_in_flight() const {
@@ -684,12 +699,8 @@ class PartitionedMergeDaemon {
   PollThread poller_;
 
   std::atomic<bool> merge_in_flight_{false};
-  Mutex lifecycle_mu_;  ///< serializes Start() (rate-state reset)
   mutable Mutex stats_mu_;
   PartitionedMergeDaemonStats stats_ DM_GUARDED_BY(stats_mu_);
-
-  /// Tail arrival-rate estimate (watcher thread only).
-  DeltaRateEstimator rate_;
 };
 
 }  // namespace deltamerge

@@ -347,24 +347,6 @@ Snapshot Table::CreateSnapshot() const {
   return snap;
 }
 
-std::vector<Table::ColumnShape> Table::column_shapes() const {
-  ReaderMutexLock lock(mu_);
-  std::vector<ColumnShape> shapes;
-  shapes.reserve(columns_.size());
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    const ColumnBase& c = *columns_[i];
-    ColumnShape s;
-    s.nm = c.main_size();
-    s.nd_active = c.delta_size();
-    s.nd_frozen = c.frozen_size();
-    s.um = c.main_unique();
-    s.ud = c.delta_unique();
-    s.value_width = c.value_width();
-    shapes.push_back(s);
-  }
-  return shapes;
-}
-
 bool Table::IsRowValid(uint64_t row) const {
   ReaderMutexLock lock(mu_);
   return row < validity_.size() && validity_.IsValid(row);
@@ -414,6 +396,12 @@ uint64_t Table::delta_rows() const {
   ReaderMutexLock lock(mu_);
   // All columns receive every row, so any column's delta size is the count.
   return columns_.empty() ? 0 : columns_[0]->delta_size();
+}
+
+Table::DeltaFill Table::delta_fill() const {
+  ReaderMutexLock lock(mu_);
+  if (columns_.empty()) return {};
+  return {columns_[0]->main_size(), columns_[0]->delta_size()};
 }
 
 void Table::AttachJournal(TableJournal* journal) {

@@ -242,24 +242,20 @@ class Table {
     return scan_gate_.stats();
   }
 
-  /// One column's cardinalities, captured consistently under one lock
-  /// acquisition — the merge daemon's trigger and cost projections must not
-  /// read column state lock-free (writers mutate it under the exclusive
-  /// lock).
-  struct ColumnShape {
-    uint64_t nm = 0;         ///< main tuples
-    uint64_t nd_active = 0;  ///< active-delta tuples
-    uint64_t nd_frozen = 0;  ///< frozen-delta tuples (mid-merge)
-    uint64_t um = 0;         ///< |U_M|
-    uint64_t ud = 0;         ///< |U_D| (active delta)
-    size_t value_width = 8;
-  };
-  std::vector<ColumnShape> column_shapes() const DM_EXCLUDES(mu_);
-
   // --- merge ---
 
-  /// Total tuples across all column deltas (the merge trigger input).
+  /// Un-merged tuples: column 0's active delta (every column receives
+  /// every row).
   uint64_t delta_rows() const DM_EXCLUDES(mu_);
+
+  /// Column 0's main and active-delta tuple counts, N_M and N_D of §4's
+  /// merge trigger, read together under one shared lock (writers mutate
+  /// them under the exclusive lock).
+  struct DeltaFill {
+    uint64_t main_rows = 0;
+    uint64_t delta_rows = 0;
+  };
+  DeltaFill delta_fill() const DM_EXCLUDES(mu_);
 
   /// Runs the full online merge: freeze -> per-column merges -> commit.
   /// Returns an error if a merge is already in progress.

@@ -19,7 +19,6 @@
 #include "core/column_handle.h"    // IWYU pragma: export
 #include "core/durability_hooks.h" // IWYU pragma: export
 #include "core/merge_algorithms.h" // IWYU pragma: export
-#include "core/merge_daemon.h"     // IWYU pragma: export
 #include "core/snapshot.h"         // IWYU pragma: export
 #include "core/merge_types.h"      // IWYU pragma: export
 #include "core/partitioned_table.h"// IWYU pragma: export

@@ -124,12 +124,21 @@ Result<size_t> FileReader::ReadUpTo(void* out, size_t n) {
   size_t got = 0;
   while (got < n) {
     if (buf_pos_ == buf_len_) {
+      // Once the buffer is drained, a remainder of at least a buffer's
+      // worth is read straight into the caller's memory, skipping a copy.
+      const bool direct = n - got >= buffer_.size();
+      uint8_t* const into = direct ? dst + got : buffer_.data();
+      const size_t want = direct ? n - got : buffer_.size();
       ssize_t r;
       do {
-        r = ::read(fd_, buffer_.data(), buffer_.size());
+        r = ::read(fd_, into, want);
       } while (r < 0 && errno == EINTR);
       if (r < 0) return Errno("read", path_);
       if (r == 0) break;  // EOF
+      if (direct) {
+        got += static_cast<size_t>(r);
+        continue;
+      }
       buf_pos_ = 0;
       buf_len_ = static_cast<size_t>(r);
     }

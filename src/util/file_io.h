@@ -103,7 +103,8 @@ class FileReader {
 
   /// Reads up to `n` bytes; returns how many were read (0 at EOF). Used by
   /// the WAL replay loop, where a short read means a torn tail, not an
-  /// error.
+  /// error. Like FileWriter::Write, it bypasses its drained buffer for a
+  /// remainder of at least kDefaultBufferBytes.
   Result<size_t> ReadUpTo(void* out, size_t n);
 
   Status ReadU8(uint8_t* v) { return Read(v, sizeof(*v)); }

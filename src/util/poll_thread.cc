@@ -51,25 +51,6 @@ void PollThread::Nudge() {
   wake_.NotifyAll();
 }
 
-void PollThread::Pause() {
-  MutexLock lock(mu_);
-  paused_ = true;
-}
-
-void PollThread::Resume() {
-  {
-    MutexLock lock(mu_);
-    paused_ = false;
-    nudged_ = true;
-  }
-  wake_.NotifyAll();
-}
-
-bool PollThread::paused() const {
-  MutexLock lock(mu_);
-  return paused_;
-}
-
 bool PollThread::running() const {
   MutexLock lock(mu_);
   return running_;
@@ -77,7 +58,6 @@ bool PollThread::running() const {
 
 void PollThread::Loop() {
   for (;;) {
-    bool run_body = false;
     {
       MutexLock lock(mu_);
       const auto deadline = std::chrono::steady_clock::now() +
@@ -88,9 +68,8 @@ void PollThread::Loop() {
       nudged_ = false;
       if (stop_requested_) return;
       polls_.fetch_add(1, std::memory_order_relaxed);
-      run_body = !paused_;
     }
-    if (run_body) body_();
+    body_();
   }
 }
 

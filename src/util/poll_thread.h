@@ -2,15 +2,14 @@
 // PollThread: the shared background poll-loop harness.
 //
 // Two subsystems poll a condition on a cadence and want identical
-// lifecycle semantics: PartitionedMergeDaemon (the §4/§9 merge trigger)
-// and the WAL's interval-sync thread. Both need the same fiddly details —
-// a Nudge that actually shortcuts the wait (a predicate flag, not a bare
-// notify), Pause/Resume without tearing the thread down, and a Stop that
-// tolerates concurrent stoppers racing the destructor — so the harness
-// lives here once and the poll body is a callback.
+// lifecycle semantics: PartitionedMergeDaemon (§4's merge trigger) and the
+// WAL's interval-sync thread. Both need the same fiddly details — a Nudge
+// that actually shortcuts the wait (a predicate flag, not a bare notify)
+// and a Stop that tolerates concurrent stoppers racing the destructor — so
+// the harness lives here once and the poll body is a callback.
 //
 // The body runs with no PollThread lock held, so it may freely call back
-// into Nudge()/paused() and block for as long as it likes (a merge body, an
+// into Nudge() and block for as long as it likes (a merge body, an
 // fdatasync); Stop() waits for an in-flight body to finish.
 
 #pragma once
@@ -28,7 +27,7 @@ namespace deltamerge {
 class PollThread {
  public:
   /// `body` is invoked once per poll (every `interval_us`, or immediately
-  /// after a Nudge) while started and not paused.
+  /// after a Nudge) while started.
   PollThread(uint64_t interval_us, std::function<void()> body);
   ~PollThread();
 
@@ -46,15 +45,9 @@ class PollThread {
   /// Wakes the poller immediately instead of at the next interval tick.
   void Nudge() DM_EXCLUDES(mu_);
 
-  /// Suspends body invocations without tearing the thread down; the poll
-  /// ticks keep counting so callers can still observe liveness.
-  void Pause() DM_EXCLUDES(mu_);
-  void Resume() DM_EXCLUDES(mu_);
-  bool paused() const DM_EXCLUDES(mu_);
-
   bool running() const DM_EXCLUDES(mu_);
 
-  /// Poll iterations since construction (including paused ticks).
+  /// Poll iterations since construction.
   uint64_t polls() const { return polls_.load(std::memory_order_relaxed); }
 
  private:
@@ -70,7 +63,6 @@ class PollThread {
   CondVar wake_;
   bool stop_requested_ DM_GUARDED_BY(mu_) = false;
   bool nudged_ DM_GUARDED_BY(mu_) = false;
-  bool paused_ DM_GUARDED_BY(mu_) = false;
   bool running_ DM_GUARDED_BY(mu_) = false;
   std::thread thread_ DM_GUARDED_BY(join_mu_);
   std::atomic<uint64_t> polls_{0};

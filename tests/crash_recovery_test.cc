@@ -585,7 +585,6 @@ TEST(CrashRecoveryAging, ReplayStaysBoundedByCompactionThreshold) {
   MergeDaemonPolicy policy;
   policy.delta_fraction = 0.0;
   policy.min_delta_rows = 1;
-  policy.rate_lookahead = false;
   policy.compact_uncheckpointed_records = kThreshold;
   {
     auto opened = DurablePartitionedTable::Open(dir.path(), TortureSchema(),

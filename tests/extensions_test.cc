@@ -229,7 +229,6 @@ TEST(PartitionedTable, MergeDueSegmentsOnlyTouchesDirtySegments) {
   MergeDaemonPolicy policy;
   policy.delta_fraction = 0.0;
   policy.min_delta_rows = 1;
-  policy.rate_lookahead = false;
   const PartitionedMergeReport r =
       t.MergeDueSegments(policy, TableMergeOptions{});
   EXPECT_EQ(r.table.rows_merged, 120u);
@@ -255,7 +254,6 @@ TEST(PartitionedTable, BoundedMergeWorkPerSegment) {
   MergeDaemonPolicy policy;
   policy.delta_fraction = 0.0;
   policy.min_delta_rows = 1;
-  policy.rate_lookahead = false;
   for (int batch = 0; batch < 10; ++batch) {
     for (int i = 0; i < 64; ++i) t.InsertRow({static_cast<uint64_t>(i)});
     const PartitionedMergeReport r =

@@ -139,10 +139,9 @@ TEST(Integration, BackgroundSchedulerUnderInsertStorm) {
   const PartitionedTable::RecoveredSegment adopted{table.get(), false};
   PartitionedTable part(table->schema(), std::numeric_limits<uint64_t>::max(),
                         nullptr, {&adopted, 1});
-  MergeDaemonPolicy policy;  // fill-only: the bare §4 trigger
+  MergeDaemonPolicy policy;
   policy.delta_fraction = 0.005;
   policy.min_delta_rows = 64;
-  policy.rate_lookahead = false;
   TableMergeOptions options;
   options.num_threads = 2;
   PartitionedMergeDaemon daemon(&part, policy, options);

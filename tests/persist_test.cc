@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/merge_daemon.h"
 #include "core/table.h"
 #include "durable_torture_util.h"
 #include "persist/checkpoint.h"
@@ -188,6 +187,13 @@ TEST(Crc32Test, SeededAndCombinedAgreeAcrossFoldBoundaries) {
 // --- file I/O ---------------------------------------------------------------
 
 TEST(FileIoTest, WriteReadRoundtripWithCrc) {
+  constexpr size_t kHead = 4 + 8;
+  constexpr size_t kBody = 300 * 1024;
+  constexpr size_t kBuf = FileReader::kDefaultBufferBytes;
+  // No period that a misplaced chunk could line up with.
+  const auto BodyByte = [](size_t i) {
+    return static_cast<uint8_t>((i * 2654435761u) >> 24);
+  };
   ScratchDir dir("fileio");
   const std::string path = dir.path() + "/blob";
   uint32_t write_crc = 0;
@@ -201,7 +207,8 @@ TEST(FileIoTest, WriteReadRoundtripWithCrc) {
     EXPECT_EQ(out.crc(), 0u);
     out.ResetCrc();
     ASSERT_TRUE(out.WriteU64(0x0123456789abcdefull).ok());
-    std::vector<uint8_t> big(300 * 1024, 0x5a);  // exceeds the buffer
+    std::vector<uint8_t> big(kBody);  // exceeds the buffer
+    for (size_t i = 0; i < big.size(); ++i) big[i] = BodyByte(i);
     ASSERT_TRUE(out.Write(big.data(), big.size()).ok());
     write_crc = out.crc();
     const uint64_t second = 0x0123456789abcdefull;
@@ -212,7 +219,7 @@ TEST(FileIoTest, WriteReadRoundtripWithCrc) {
   auto r = FileReader::Open(path);
   ASSERT_TRUE(r.ok());
   auto& in = *r.ValueOrDie();
-  EXPECT_EQ(in.file_size(), 4u + 8u + 300u * 1024u);
+  EXPECT_EQ(in.file_size(), kHead + kBody);
   uint32_t a = 0;
   uint64_t b = 0;
   ASSERT_TRUE(in.ReadU32(&a).ok());
@@ -221,11 +228,20 @@ TEST(FileIoTest, WriteReadRoundtripWithCrc) {
   ASSERT_TRUE(in.ReadU64(&b).ok());
   EXPECT_EQ(a, 0xdecafbadu);
   EXPECT_EQ(b, 0x0123456789abcdefull);
-  std::vector<uint8_t> big(300 * 1024);
-  ASSERT_TRUE(in.Read(big.data(), big.size()).ok());
-  EXPECT_EQ(big.front(), 0x5a);
-  EXPECT_EQ(big.back(), 0x5a);
+  // The first read(2) buffered the file's first kBuf bytes: drain them
+  // exactly, then ask for a buffer's worth past the end of the file. That
+  // request reads straight into `big`, and so does its EOF probe.
+  std::vector<uint8_t> big(kBody + kBuf);
+  ASSERT_TRUE(in.Read(big.data(), kBuf - kHead).ok());
+  auto tail =
+      in.ReadUpTo(big.data() + kBuf - kHead, big.size() - (kBuf - kHead));
+  ASSERT_TRUE(tail.ok());
+  EXPECT_EQ(tail.ValueOrDie(), kBody - (kBuf - kHead));
+  EXPECT_EQ(in.offset(), in.file_size());
   EXPECT_EQ(in.crc(), write_crc);
+  for (size_t i = 0; i < kBody; ++i) {
+    ASSERT_EQ(big[i], BodyByte(i)) << "body byte " << i;
+  }
   // Exact EOF: further exact reads fail, ReadUpTo reports 0.
   uint8_t extra = 0;
   EXPECT_FALSE(in.Read(&extra, 1).ok());
@@ -274,26 +290,6 @@ TEST(PollThreadTest, RunsBodyAndStops) {
   const int after_stop = calls.load();
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   EXPECT_EQ(calls.load(), after_stop);
-}
-
-TEST(PollThreadTest, PauseSuspendsBodyButKeepsTicking) {
-  std::atomic<int> calls{0};
-  PollThread poller(100, [&] { calls.fetch_add(1); });
-  poller.Pause();
-  poller.Start();
-  const uint64_t polls_before = poller.polls();
-  // Wait (bounded) for the loop to demonstrably tick while paused.
-  for (int i = 0; i < 5000 && poller.polls() == polls_before; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GT(poller.polls(), polls_before);  // the loop is alive...
-  EXPECT_EQ(calls.load(), 0);               // ...but the body never ran
-  poller.Resume();
-  for (int i = 0; i < 5000 && calls.load() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GT(calls.load(), 0);
-  poller.Stop();
 }
 
 TEST(PollThreadTest, NudgeShortcutsLongInterval) {

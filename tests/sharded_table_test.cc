@@ -50,7 +50,6 @@ MergeDaemonPolicy AggressivePolicy() {
   MergeDaemonPolicy policy;
   policy.delta_fraction = 0.0;
   policy.min_delta_rows = 1;
-  policy.rate_lookahead = false;
   return policy;
 }
 
@@ -613,27 +612,36 @@ TEST(PartitionedMergeDaemon, DrainsTailAndFinalMergesSealedSegments) {
   }
 }
 
-TEST(PartitionedMergeDaemon, PausedDaemonDoesNotMerge) {
+TEST(PartitionedMergeDaemon, TailBelowFloorNeverMerges) {
   PartitionedTable t(Schema::Uniform(1, 8), 1000);
   MergeDaemonPolicy policy = AggressivePolicy();
+  policy.min_delta_rows = 100;  // empty main: only the floor gates
   policy.poll_interval_us = 200;
   PartitionedMergeDaemon daemon(&t, policy, TableMergeOptions{});
-  daemon.Pause();
-  EXPECT_TRUE(daemon.paused());
+  for (int i = 0; i < 99; ++i) t.InsertRow({7});
   daemon.Start();
-  for (int i = 0; i < 100; ++i) t.InsertRow({7});
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(daemon.stats().segments_merged, 0u);
-  EXPECT_EQ(t.delta_rows(), 100u);
-  daemon.Resume();
+  const uint64_t polls_before = daemon.stats().polls;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (t.delta_rows() > 0 &&
+  while (daemon.stats().polls < polls_before + 20 &&
          std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(daemon.stats().polls, polls_before + 20);
+  EXPECT_EQ(daemon.stats().segments_merged, 0u);
+  EXPECT_EQ(t.delta_rows(), 99u);
+
+  t.InsertRow({7});  // reaches the floor
+  daemon.Nudge();
+  while (t.delta_rows() > 0 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
   }
   daemon.Stop();
   EXPECT_EQ(t.delta_rows(), 0u);
+  EXPECT_EQ(t.num_rows(), 100u);
+  const PartitionedMergeDaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.segments_merged, 1u);
+  EXPECT_EQ(stats.rows_merged, 100u);
 }
 
 TEST(PartitionedMergeDaemon, BackgroundMergeKeepsDeltaBounded) {
@@ -643,10 +651,9 @@ TEST(PartitionedMergeDaemon, BackgroundMergeKeepsDeltaBounded) {
   const PartitionedTable::RecoveredSegment adopted{base.get(), false};
   PartitionedTable t(base->schema(), std::numeric_limits<uint64_t>::max(),
                      nullptr, {&adopted, 1});
-  MergeDaemonPolicy policy;  // fill-only: the bare §4 trigger
+  MergeDaemonPolicy policy;
   policy.delta_fraction = 0.01;  // merge every ~50 rows
   policy.min_delta_rows = 16;
-  policy.rate_lookahead = false;
   PartitionedMergeDaemon daemon(&t, policy, TableMergeOptions{});
   daemon.Start();
 

@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/merge_daemon.h"
 #include "core/partitioned_table.h"
 #include "core/table.h"
 #include "durable_torture_util.h"
@@ -277,7 +276,6 @@ TEST(SharedScanTorture, ReadersShareSweepsWhileWriterAndDaemonRun) {
   MergeDaemonPolicy policy;
   policy.delta_fraction = 0.0;
   policy.min_delta_rows = 1;
-  policy.rate_lookahead = false;
   policy.poll_interval_us = 200;
   TableMergeOptions merge_options;
   merge_options.inter_column_delay_us = 100;  // stretch merge bodies

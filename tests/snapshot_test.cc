@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/merge_daemon.h"
 #include "core/partitioned_table.h"
 #include "core/snapshot.h"
 #include "core/table.h"
@@ -382,38 +381,34 @@ TEST(Snapshot, DaemonMergeCannotDisturbAPinnedSnapshot) {
 // Merge trigger policy
 // ---------------------------------------------------------------------------
 
-// The fill-only policy (no rate lookahead, no cost budget) is the bare §4
-// trigger: N_D >= min_delta_rows && N_D > delta_fraction * N_M.
+// The daemon's whole trigger is §4's fill check:
+// N_D >= min_delta_rows && N_D > delta_fraction * N_M.
 TEST(MergeDaemonPolicyTest, TriggerPolicyThreshold) {
   auto t = BuildTable(10000, 0,
                       std::vector<ColumnBuildSpec>(2, ColumnBuildSpec{}), 3);
   MergeDaemonPolicy policy;
   policy.delta_fraction = 0.01;
   policy.min_delta_rows = 10;
-  policy.rate_lookahead = false;
-  EXPECT_EQ(EvaluateMergeTrigger(*t, policy, 1, 0.0), MergeTrigger::kNone);
+  EXPECT_FALSE(MergeDue(*t, policy));
 
   std::vector<uint64_t> row{1, 2};
   for (int i = 0; i < 99; ++i) t->InsertRow(row);
   // 99 < 1% of 10000 (+1 short)
-  EXPECT_EQ(EvaluateMergeTrigger(*t, policy, 1, 0.0), MergeTrigger::kNone);
+  EXPECT_FALSE(MergeDue(*t, policy));
   for (int i = 0; i < 2; ++i) t->InsertRow(row);
   // 101 > 100
-  EXPECT_EQ(EvaluateMergeTrigger(*t, policy, 1, 0.0),
-            MergeTrigger::kDeltaSize);
+  EXPECT_TRUE(MergeDue(*t, policy));
 }
 
 TEST(MergeDaemonPolicyTest, MinDeltaRowsFloor) {
   Table t(Schema::Uniform(1, 8));  // empty main: fraction trigger trivially on
   MergeDaemonPolicy policy;
   policy.min_delta_rows = 50;
-  policy.rate_lookahead = false;
   std::vector<uint64_t> row{1};
   for (int i = 0; i < 49; ++i) t.InsertRow(row);
-  EXPECT_EQ(EvaluateMergeTrigger(t, policy, 1, 0.0), MergeTrigger::kNone);
+  EXPECT_FALSE(MergeDue(t, policy));
   t.InsertRow(row);
-  EXPECT_EQ(EvaluateMergeTrigger(t, policy, 1, 0.0),
-            MergeTrigger::kDeltaSize);
+  EXPECT_TRUE(MergeDue(t, policy));
 }
 
 TEST(MergeDaemonPolicyTest, TriggersInPriorityOrder) {
@@ -422,34 +417,21 @@ TEST(MergeDaemonPolicyTest, TriggersInPriorityOrder) {
   policy.min_delta_rows = 1000;
   policy.delta_fraction = 0.01;
 
-  // Below the floor: nothing fires even with a huge rate.
+  // Below the floor: nothing fires.
   for (int i = 0; i < 400; ++i) t.InsertRow({1, 2, 3});
-  EXPECT_EQ(EvaluateMergeTrigger(t, policy, 1, 0.0), MergeTrigger::kNone);
-
-  // A hot arrival rate extrapolates past the floor within one poll.
-  policy.poll_interval_us = 1'000'000;  // 1 s lookahead horizon
-  EXPECT_EQ(EvaluateMergeTrigger(t, policy, 1, 1e6),
-            MergeTrigger::kRateLookahead);
-  policy.rate_lookahead = false;
-  EXPECT_EQ(EvaluateMergeTrigger(t, policy, 1, 1e6), MergeTrigger::kNone);
+  EXPECT_FALSE(MergeDue(t, policy));
 
   // Past the floor with an empty main: the §4 size trigger fires.
   for (int i = 0; i < 700; ++i) t.InsertRow({1, 2, 3});
-  EXPECT_EQ(EvaluateMergeTrigger(t, policy, 1, 0.0),
-            MergeTrigger::kDeltaSize);
+  EXPECT_TRUE(MergeDue(t, policy));
 
-  // After merging, N_M dominates and the fraction gate holds again...
+  // After merging, N_M dominates and the fraction gate holds again.
   ASSERT_TRUE(t.Merge(TableMergeOptions{}).ok());
   for (int i = 0; i < 1000; ++i) t.InsertRow({1, 2, 3});
   policy.delta_fraction = 10.0;  // 1000 delta vs 10*1100 main: not due
-  EXPECT_EQ(EvaluateMergeTrigger(t, policy, 1, 0.0), MergeTrigger::kNone);
-
-  // ...unless the cost model projects the merge to exceed the budget.
-  policy.max_projected_merge_seconds = 1e-12;
-  EXPECT_GT(ProjectedMergeSeconds(t.column_shapes(), policy.profile, 1),
-            0.0);
-  EXPECT_EQ(EvaluateMergeTrigger(t, policy, 1, 0.0),
-            MergeTrigger::kCostBudget);
+  EXPECT_FALSE(MergeDue(t, policy));
+  policy.delta_fraction = 0.5;  // 1000 delta vs 0.5*1100 main: due
+  EXPECT_TRUE(MergeDue(t, policy));
 }
 
 // ---------------------------------------------------------------------------
