@@ -1,8 +1,8 @@
 // Copyright (c) 2026 The DeltaMerge Authors.
 // google-benchmark micro-benchmarks of the library's hot primitives:
-// packed-vector access, CSB+ insert/lookup, dictionary merge, merge-path
-// splits, the durability checksum, the checkpoint dictionary codec. These
-// are the per-operation costs behind the figure benches.
+// packed-vector access and writes, CSB+ insert/lookup, dictionary merge,
+// merge-path splits, the durability checksum, the checkpoint dictionary
+// codec. These are the per-operation costs behind the figure benches.
 
 #include <benchmark/benchmark.h>
 
@@ -61,6 +61,35 @@ void BM_PackedVectorSequentialRead(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_PackedVectorSequentialRead)->Arg(7)->Arg(27);
+
+// Writing packed codes through Writer::Append, one code at a time (the
+// table builders, both Step 2s), in ns per code.
+void BM_PackedWrite(benchmark::State& state) {
+  const uint8_t bits = static_cast<uint8_t>(state.range(0));
+  const uint64_t n = 1 << 16;  // input and output stay in L2
+  std::vector<uint32_t> in(n);
+  Rng rng(12);
+  for (uint32_t& c : in) {
+    c = static_cast<uint32_t>(rng.Next() & LowBitsMask(bits));
+  }
+  PackedVector v(n, bits);
+  double writer_ns = 0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    PackedVector::Writer w(v);
+    for (uint64_t i = 0; i < n; ++i) w.Append(in[i]);
+    benchmark::DoNotOptimize(v.words());
+    benchmark::ClobberMemory();
+    writer_ns += std::chrono::duration<double, std::nano>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+  }
+  const double codes = static_cast<double>(state.iterations()) * n;
+  state.counters["writer_ns_per_code"] = writer_ns / codes;
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_PackedWrite)->Arg(5)->Arg(17)->Arg(27);
 
 void BM_CsbTreeInsert(benchmark::State& state) {
   const uint64_t domain = static_cast<uint64_t>(state.range(0));

@@ -87,10 +87,10 @@ struct CheckpointCapture {
   /// tombstones landing during the merge body belong to the replay tail
   /// (recovery applies them only if their records became durable).
   std::vector<uint64_t> validity_words;
-  /// The commit clock as of the freeze instant. Recovery loads the covered
-  /// rows at ts 0 (no snapshot survives a restart, so none can precede
-  /// them) and seeds the table's clock to at least this value, so commit
-  /// timestamps stay monotone across restarts.
+  /// The commit clock as of the freeze instant. Recovery seeds the table's
+  /// clock to at least this value, so commit timestamps stay monotone
+  /// across restarts (the covered rows need none: no snapshot survives a
+  /// restart, so every later one holds them below its horizon).
   uint64_t commit_clock = 0;
   std::vector<ColumnMain> columns;
 

@@ -16,7 +16,8 @@
 //   Step 2(a)  new code width E'_C = ceil(log2 |U'_M|) (Eq. 4).
 //   Step 2(b)  rewrite all N_M + N_D codes. Naive: materialize + binary
 //              search (Eq. 5). Linear: one gather per tuple through X_M/X_D
-//              (Eq. 6, paper Eq. 11: M'[i] <- X_M[M[i]]). Parallelized by
+//              (Eq. 6, paper Eq. 11: M'[i] <- X_M[M[i]]), run in blocks that
+//              unpack and translate 512 codes at a time. Parallelized by
 //              chunking tuples across threads (§6.2.2).
 //
 // All functions are deterministic: serial and parallel variants produce
@@ -280,35 +281,36 @@ DictMergeOutput<W> MergeDictionaries(std::span<const FixedValue<W>> um,
 
 /// Linear Step 2(b) (§5.3): each output code is one gather through the
 /// translation tables — out[i] = X_M[M[i]] for main tuples, X_D[code_D[k]]
-/// for delta tuples. Thread chunks are aligned to 64-tuple boundaries so
-/// packed writes never share a word across threads.
+/// for delta tuples. The rewrite runs in blocks of up to kStep2Block codes:
+/// Unpack the block's main codes, translate them through X_M in place,
+/// translate its delta codes through X_D behind them (a block that spans N_M
+/// takes both legs), and append the block through the range's Writer.
+/// Thread chunks and blocks start on 64-tuple boundaries, so Unpack runs
+/// whole blocks and packed writes never share a word across threads.
 template <size_t W>
 PackedVector UpdateCompressedValuesLinear(
     const MainPartition<W>& main, std::span<const uint32_t> delta_codes,
     std::span<const uint32_t> x_main, std::span<const uint32_t> x_delta,
     uint8_t new_bits, ThreadTeam* team = nullptr) {
+  constexpr uint64_t kStep2Block = 512;  // a multiple of Unpack's 64
   const uint64_t nm = main.size();
   const uint64_t nd = delta_codes.size();
   PackedVector out(nm + nd, new_bits);
 
   auto run_range = [&](uint64_t begin, uint64_t end) {
     typename PackedVector::Writer writer(out, begin);
-    uint64_t i = begin;
-    if (i < nm) {
-      PackedVector::Reader reader(main.codes(), i);
-      const uint64_t main_end = std::min(end, nm);
-      for (; i < main_end; ++i) {
-        writer.Append(x_main[reader.Next()]);
+    uint32_t block[kStep2Block];
+    for (uint64_t i = begin; i < end;) {
+      const uint64_t n = std::min(kStep2Block, end - i);
+      const uint64_t n_main = i < nm ? std::min(n, nm - i) : 0;
+      if (n_main > 0) {
+        main.codes().Unpack(i, n_main, block);
+        simd::TranslateCodes32(block, n_main, x_main.data(), block);
       }
-    }
-    // Delta leg: both input codes and the translation table are fixed-width
-    // 32-bit (the §5.3 point of the delta re-encode), so the gathers
-    // vectorize; translate in blocks, then pack.
-    uint32_t block[512];
-    while (i < end) {
-      const uint64_t n = std::min<uint64_t>(512, end - i);
-      simd::TranslateCodes32(delta_codes.data() + (i - nm), n,
-                             x_delta.data(), block);
+      if (n_main < n) {
+        simd::TranslateCodes32(delta_codes.data() + (i + n_main - nm),
+                               n - n_main, x_delta.data(), block + n_main);
+      }
       for (uint64_t k = 0; k < n; ++k) writer.Append(block[k]);
       i += n;
     }

@@ -109,9 +109,11 @@ class EpochManager final : public RetireSink {
   //
   // The epoch counter doubles as the table's commit-timestamp clock. A
   // committing write calls AdvanceClock() under the table's exclusive lock
-  // BEFORE stamping its rows/tombstones, so its timestamp is strictly
-  // greater than the read timestamp of any snapshot captured earlier (a
-  // snapshot reads current_epoch() under the shared lock). Retire() bumps
+  // BEFORE stamping its tombstones, so its timestamp is strictly greater
+  // than the read timestamp of any snapshot captured earlier (a snapshot
+  // reads current_epoch() under the shared lock). Rows carry no timestamp:
+  // the row count a snapshot captures with its read timestamp hides later
+  // rows. Retire() bumps
   // the same counter; commit timestamps simply skip those values — the
   // clock only ever needs to be monotone, not dense.
 
@@ -122,8 +124,7 @@ class EpochManager final : public RetireSink {
   }
 
   /// Recovery hook: raises the clock to at least `ts` (the checkpointed
-  /// commit clock / replayed commit timestamps). Without this, restored
-  /// rows stamped above the clock would be invisible to every new snapshot.
+  /// commit clock), so commit timestamps stay monotone across restarts.
   void EnsureClockAtLeast(uint64_t ts);
   uint32_t pinned_count() const;
   /// Retired objects still awaiting a drained epoch.

@@ -90,9 +90,12 @@ uint64_t Table::InsertRow(std::span<const uint64_t> keys) {
     for (size_t c = 0; c < columns_.size(); ++c) {
       columns_[c]->InsertKey(keys[c]);
     }
-    // Advance the commit clock BEFORE stamping: the new row's timestamp is
-    // strictly greater than any snapshot's read timestamp captured earlier.
-    row = validity_.Append(1, epochs_.AdvanceClock());
+    // No reader depends on this clock bump: only tombstones carry
+    // timestamps, and a snapshot captured earlier holds a smaller row
+    // count, so its horizon hides the new row. It keeps every commit
+    // advancing the clock, as EpochManager's commit-clock contract says.
+    epochs_.AdvanceClock();
+    row = validity_.Append(1);
     delta_update_cycles_.fetch_add(CycleClock::Now() - t0,
                                    std::memory_order_relaxed);
   }
@@ -152,7 +155,9 @@ uint64_t Table::InsertRows(std::span<const uint64_t> row_major_keys,
       }
       queue->WaitAll();
     }
-    first = validity_.Append(num_rows, epochs_.AdvanceClock());
+    // As in InsertRow, nothing reads this bump; the horizon hides the batch.
+    epochs_.AdvanceClock();
+    first = validity_.Append(num_rows);
     delta_update_cycles_.fetch_add(CycleClock::Now() - t0,
                                    std::memory_order_relaxed);
   }
@@ -178,9 +183,9 @@ uint64_t Table::UpdateRow(uint64_t row, std::span<const uint64_t> keys) {
     }
     // One commit timestamp covers both halves of the update — the new
     // version and the old one's tombstone switch atomically at ts in every
-    // snapshot's history.
+    // snapshot's history (the new row by the snapshot's row-count horizon).
     const uint64_t ts = epochs_.AdvanceClock();
-    new_row = validity_.Append(1, ts);
+    new_row = validity_.Append(1);
     if (row < new_row) InvalidateLocked(row, ts);
     delta_update_cycles_.fetch_add(CycleClock::Now() - t0,
                                    std::memory_order_relaxed);
@@ -291,14 +296,14 @@ Status Table::CommitTxnLocked(std::span<const TxnOp> ops,
         for (size_t c = 0; c < columns_.size(); ++c) {
           columns_[c]->InsertKey(op.keys[c]);
         }
-        validity_.Append(1, ts);
+        validity_.Append(1);
         break;
       }
       case TxnOp::Kind::kUpdate: {
         for (size_t c = 0; c < columns_.size(); ++c) {
           columns_[c]->InsertKey(op.keys[c]);
         }
-        const uint64_t new_row = validity_.Append(1, ts);
+        const uint64_t new_row = validity_.Append(1);
         // Liberal write, mirroring UpdateRow: an out-of-range or already-
         // dead target degrades to a plain insert of the new version.
         if (op.target_row < new_row) InvalidateLocked(op.target_row, ts);
@@ -328,11 +333,12 @@ Snapshot Table::CreateSnapshot() const {
   Snapshot snap(&epochs_, slot, pinned_epoch, &mu_, &validity_);
   snap.visible_rows_ = validity_.size();
   snap.valid_rows_ = validity_.valid_count();
-  // The read timestamp must be taken under the lock: every commit already
-  // applied advanced the clock to its own timestamp before releasing the
-  // exclusive lock (so it reads as visible here), and every later commit
-  // will advance past this value before stamping (so it reads as
-  // invisible).
+  // The read timestamp must be taken under the lock, with the row count:
+  // every commit already applied advanced the clock to its own timestamp
+  // before releasing the exclusive lock (so its tombstones read as visible
+  // here), and every later commit will advance past this value before
+  // stamping (so its tombstones read as invisible) and appends its rows at
+  // or past visible_rows_ (so the horizon hides them).
   snap.read_ts_ = epochs_.current_epoch();
   if (shared_scans_.load(std::memory_order_relaxed)) {
     snap.gate_ = &scan_gate_;
@@ -465,8 +471,8 @@ Result<TableMergeReport> Table::Merge(const TableMergeOptions& options) {
       // At the freeze instant the fresh active delta is empty, so every
       // existing row is about to be folded into the new main: the full
       // validity prefix is exactly what the checkpoint covers. The commit
-      // clock rides along so recovery keeps timestamps monotone; no insert
-      // timestamps do — recovery loads every covered row at ts 0.
+      // clock rides along so recovery keeps timestamps monotone; rows carry
+      // no timestamp to save.
       freeze_rows = validity_.size();
       freeze_validity_words = validity_.CopyWordsPrefix(freeze_rows);
       freeze_commit_clock = epochs_.current_epoch();

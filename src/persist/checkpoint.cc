@@ -14,8 +14,8 @@ namespace {
 constexpr uint64_t kMagic = 0x313054504B434D44ULL;  // "DMCKPT01" little-endian
 // v2 appended the commit clock and one 8-byte insert timestamp per row
 // after the validity words. v3 drops the timestamps — no reader survives a
-// restart, so recovery loads every restored row at ts 0, visible to every
-// read timestamp — and lets each dictionary carry a delta-packed body
+// restart, so every restored row is visible to every later read — and lets
+// each dictionary carry a delta-packed body
 // (Dictionary::Serialize). Older versions are refused as unsupported;
 // recovery falls back to an older file or, with none valid, fails the open
 // (the format predates any deployment promise).

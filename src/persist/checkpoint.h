@@ -6,7 +6,7 @@
 // the rows it covers — tagged with the WAL LSN of the freeze instant and
 // the commit clock. The dictionary is stored raw or as packed gaps,
 // whichever is smaller. Rows carry no insert timestamp: every restored row
-// is visible to every post-restart snapshot, which ts 0 expresses. The
+// lies below every post-restart snapshot's row-count horizon. The
 // pair (newest valid checkpoint, WAL tail from its replay_lsn) is the
 // complete durable state of a table; rows that live in the active delta at
 // the commit instant are deliberately *not* in the file, because their WAL
@@ -55,7 +55,7 @@ struct CheckpointContents {
   uint64_t commit_clock = 0;
   std::vector<std::unique_ptr<ColumnBase>> columns;
   std::vector<std::string> column_names;  ///< schema names, for validation
-  ValidityVector validity;  ///< bits; every row stamped ts 0
+  ValidityVector validity;  ///< bits; the tombstone log starts empty
 };
 
 /// Reads and validates one checkpoint file (CRC, shape invariants).

@@ -289,10 +289,10 @@ Result<std::unique_ptr<DurableTable>> DurableTable::Open(
     }
     table = Table::FromColumns(schema, std::move(checkpoint.columns),
                                std::move(checkpoint.validity));
-    // Restored rows carry ts 0, visible to every snapshot. Seed the commit
-    // clock from the checkpoint BEFORE replay so replayed tail records and
-    // later commits stamp above every pre-crash timestamp: the clock stays
-    // monotone across restarts.
+    // Restored rows lie below every later snapshot's horizon. Seed the
+    // commit clock from the checkpoint BEFORE replay so replayed tail
+    // records and later commits stamp above every pre-crash timestamp: the
+    // clock stays monotone across restarts.
     table->epoch_manager().EnsureClockAtLeast(checkpoint.commit_clock);
   } else {
     table = std::make_unique<Table>(schema);

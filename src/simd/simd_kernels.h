@@ -85,7 +85,8 @@ inline void TranslateCodes32Scalar(const uint32_t* in, uint64_t n,
   }
 }
 
-/// Step 2's translation gather on unpacked 32-bit codes. With AVX2, eight
+/// Step 2's translation gather on unpacked 32-bit codes; `out` may be `in`
+/// (Step 2 translates its unpacked blocks in place). With AVX2, eight
 /// gathers issue per iteration, exposing the memory-level parallelism that
 /// §7.2 credits for the parallel Step 2's latency hiding.
 inline void TranslateCodes32(const uint32_t* in, uint64_t n,

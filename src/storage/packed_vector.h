@@ -4,13 +4,21 @@
 // A column's main partition stores, per tuple, the index of its value in the
 // sorted dictionary, using E_C = ceil(log2 |U|) bits per code (paper §3, §5,
 // Eq. 4). PackedVector packs codes of a fixed bit width (1..32) contiguously
-// into 64-bit words. It supports random get/set plus sequential reader and
-// writer cursors used by the merge's streaming Step 2.
+// into 64-bit words. It supports random get/set, sequential reader and
+// writer cursors, and the block decoder Unpack that the merge's Step 2
+// streams through: 64 codes of b bits fill exactly b words, so a block
+// decodes with compile-time shifts.
+//
+// The Writer stores whole words and zeroes the bits above its last code in
+// its word. The codes that follow a Writer's range in its last word are
+// therefore lost — write a vector front to back, or in 64-code-aligned
+// chunks. A Writer started mid-word keeps the codes below its start.
 //
 // Thread-safety: concurrent reads are safe. Concurrent writes are safe iff
 // the writers' tuple ranges touch disjoint 64-bit words; the parallel merge
 // guarantees this by aligning thread chunks to 64-tuple boundaries (64 tuples
-// of b bits always end on a word boundary since 64*b % 64 == 0).
+// of b bits always end on a word boundary since 64*b % 64 == 0), and a
+// Writer never stores to a word that holds none of its codes.
 
 #pragma once
 
@@ -125,33 +133,47 @@ class PackedVector {
     uint64_t bit_;
   };
 
-  /// Sequential writer cursor. Must start on a 64-tuple boundary (or tuple 0)
-  /// when several writers share the vector; see the class comment.
+  /// Sequential writer cursor: a store-through register accumulator. Each
+  /// Append ORs its code into the accumulator and stores the current word
+  /// whole, so the vector is current after every call and no flush exists.
+  /// The writer zeroes the bits above its last code in that word, keeps the
+  /// bits below its start (read once, at construction), moves to the next
+  /// word only when a code spills into it, and never stores to a word that
+  /// holds none of its codes. Several writers may share the vector when each
+  /// starts on a 64-tuple boundary; see the class comment.
   class Writer {
    public:
     Writer(PackedVector& v, uint64_t start = 0)
-        : words_(v.words()), bits_(v.bits()), bit_(start * v.bits()) {}
+        : words_(v.words()),
+          bits_(v.bits()),
+          word_(start * v.bits() >> 6),
+          shift_(static_cast<unsigned>(start * v.bits() & 63)),
+          acc_(shift_ == 0 ? 0
+                          : words_[word_] &
+                                LowBitsMask(static_cast<uint8_t>(shift_))) {}
 
     void Append(uint32_t value) {
       DM_DCHECK(uint64_t{value} <= LowBitsMask(bits_));
-      const uint64_t word = bit_ >> 6;
-      const unsigned shift = static_cast<unsigned>(bit_ & 63);
-      const uint64_t mask = LowBitsMask(bits_);
-      words_[word] = (words_[word] & ~(mask << shift)) |
-                     (static_cast<uint64_t>(value) << shift);
-      if (shift + bits_ > 64) {
-        const unsigned spill = static_cast<unsigned>(shift + bits_ - 64);
-        const uint64_t hi_mask = LowBitsMask(static_cast<uint8_t>(spill));
-        words_[word + 1] = (words_[word + 1] & ~hi_mask) |
-                           (static_cast<uint64_t>(value) >> (64 - shift));
+      acc_ |= static_cast<uint64_t>(value) << shift_;
+      words_[word_] = acc_;
+      shift_ += bits_;
+      if (shift_ >= 64) {
+        shift_ -= 64;
+        ++word_;
+        acc_ = 0;
+        if (shift_ != 0) {
+          acc_ = static_cast<uint64_t>(value) >> (bits_ - shift_);
+          words_[word_] = acc_;
+        }
       }
-      bit_ += bits_;
     }
 
    private:
     uint64_t* words_;
     uint8_t bits_;
-    uint64_t bit_;
+    uint64_t word_;   ///< the word the next code starts in
+    unsigned shift_;  ///< its bit offset in that word
+    uint64_t acc_;    ///< that word's bits below shift_, as last stored
   };
 
  private:

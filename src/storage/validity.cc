@@ -7,18 +7,30 @@
 
 namespace deltamerge {
 
-uint64_t ValidityVector::Append(uint64_t n, uint64_t ts) {
+uint64_t ValidityVector::Append(uint64_t n) {
   const uint64_t first = size_;
+  if (n == 0) return first;
   size_ += n;
   valid_count_ += n;
   const uint64_t needed_words = (size_ + 63) >> 6;
   if (words_.size() < needed_words) {
     words_.resize(needed_words, 0);
   }
-  insert_ts_.resize(size_, ts);
-  for (uint64_t row = first; row < size_; ++row) {
-    words_[row >> 6] |= uint64_t{1} << (row & 63);
+  // Rows [first, size_): the head word keeps the rows below `first`, every
+  // later word holds only new rows, and the tail word's bits at or above
+  // size_ stay clear.
+  const uint64_t head = first >> 6;
+  const uint64_t tail = (size_ - 1) >> 6;
+  const uint64_t head_bits = ~uint64_t{0} << (first & 63);
+  const uint64_t tail_bits = ~uint64_t{0} >> (63 - ((size_ - 1) & 63));
+  if (head == tail) {
+    words_[head] |= head_bits & tail_bits;
+    return first;
   }
+  words_[head] |= head_bits;
+  std::fill(words_.begin() + static_cast<ptrdiff_t>(head + 1),
+            words_.begin() + static_cast<ptrdiff_t>(tail), ~uint64_t{0});
+  words_[tail] = tail_bits;
   return first;
 }
 
@@ -36,7 +48,6 @@ void ValidityVector::Invalidate(uint64_t row, uint64_t ts) {
 }
 
 bool ValidityVector::IsValidAtTs(uint64_t row, uint64_t read_ts) const {
-  if (insert_ts_[row] > read_ts) return false;  // born after the capture
   if (IsValid(row)) return true;
   // The row is invalid now; it was still alive at `read_ts` iff its (unique)
   // invalidation committed after it. A pruned (absent) entry committed at or
@@ -73,7 +84,6 @@ std::vector<uint64_t> ValidityVector::CopyWordsPrefix(uint64_t rows) const {
 
 std::vector<uint64_t> ValidityVector::CopyWordsAtTs(uint64_t rows,
                                                     uint64_t read_ts) const {
-  DM_DCHECK(rows == 0 || insert_ts_[rows - 1] <= read_ts);
   std::vector<uint64_t> out = CopyWordsPrefix(rows);
   // Invalidation timestamps are monotone (commit order), so the entries to
   // resurrect — committed after read_ts — form a suffix of the log. A ts-0
@@ -110,7 +120,6 @@ ValidityVector ValidityVector::FromWords(std::vector<uint64_t> words,
   ValidityVector v;
   v.words_ = std::move(words);
   v.size_ = rows;
-  v.insert_ts_.assign(rows, 0);
   // Clear any stray bits beyond `rows` so valid_count_ and IsValid agree.
   if ((rows & 63) != 0) {
     v.words_[rows >> 6] &= (uint64_t{1} << (rows & 63)) - 1;
@@ -123,7 +132,6 @@ void ValidityVector::Clear() {
   words_.clear();
   size_ = 0;
   valid_count_ = 0;
-  insert_ts_.clear();
   tombstones_.clear();
   inv_ts_by_row_.clear();
 }

@@ -1,24 +1,24 @@
 // Copyright (c) 2026 The DeltaMerge Authors.
-// ValidityVector: the insert-only table's tombstone bitmap + row timestamps.
+// ValidityVector: the insert-only table's tombstone bitmap + tombstone log.
 //
 // "Updates are always modeled as new inserts and deletes only invalidate
 // rows. We keep the insertion order of tuples and only the lastly inserted
 // version is valid." (paper §3). One bit per table row; set = visible.
 //
-// MVCC support (Hekaton-style, Larson et al.): every row carries the commit
-// timestamp of the write that inserted it, and every invalidation is logged
-// with the commit timestamp of the write that killed it. A reader that
-// captured read timestamp R reconstructs the bitmap as of R in O(1) per
-// row: the row existed at R iff insert_ts <= R, and was still alive iff its
-// bit is set now or its invalidation timestamp is > R. Timestamps come from
-// the table's commit clock (EpochManager): every committing write advances
-// the clock and stamps with the NEW value, so they are strictly monotone in
-// commit order — which makes the tombstone log monotone too, and pruning a
-// prefix of it sound. Timestamp 0 is the "outside any snapshot's history"
-// sentinel: a ts-0 insert is visible to every read timestamp, a ts-0
-// invalidation to none. A committing write never stamps 0, but every row a
-// checkpoint restores carries it: no snapshot survives a restart, so none
-// can precede those rows (plain unit tests stamp 0 too).
+// MVCC support (Hekaton-style, Larson et al.): every invalidation is logged
+// with the commit timestamp of the write that killed it. Rows carry no
+// insert timestamp: they append in commit order, and a reader captures the
+// row count under the same lock as its read timestamp R, so "the row was
+// inserted at or before R" is exactly "the row lies below the captured
+// count" — the begin-timestamp test, answered by the reader's horizon. Below
+// that horizon a row was still alive at R iff its bit is set now or its
+// invalidation timestamp is > R. Timestamps come from the table's commit
+// clock (EpochManager): every committing write advances the clock and
+// stamps with the NEW value, so they are strictly monotone in commit order
+// — which makes the tombstone log monotone too, and pruning a prefix of it
+// sound. Timestamp 0 is the "outside any snapshot's history" sentinel: a
+// ts-0 invalidation reads as dead at every read timestamp. A committing
+// write never stamps 0 (plain unit tests do).
 //
 // The log orders pruning: entries at or below every pinned snapshot's read
 // timestamp answer "invalid" exactly like an absent entry, so they can be
@@ -38,9 +38,9 @@ class ValidityVector {
  public:
   ValidityVector() = default;
 
-  /// Appends `n` rows, all valid, stamped with commit timestamp `ts`.
+  /// Appends `n` rows, all valid, setting their bits a word at a time.
   /// Returns the first new row id.
-  uint64_t Append(uint64_t n = 1, uint64_t ts = 0);
+  uint64_t Append(uint64_t n = 1);
 
   /// Marks a row invisible (delete / superseded version) and logs the
   /// transition at commit timestamp `ts`. Idempotent: an already-invalid
@@ -57,17 +57,13 @@ class ValidityVector {
 
   // --- snapshot hooks -------------------------------------------------------
 
-  /// Was `row` alive at read timestamp `read_ts`? O(1). Requires that
-  /// tombstone entries above `read_ts` have not been pruned (the min-pinned
-  /// prune discipline guarantees this for every live snapshot).
+  /// Was `row` alive at read timestamp `read_ts`? O(1): reads the bit and,
+  /// for an invalid row, the tombstone map. Whether the row existed at
+  /// `read_ts` is the caller's horizon check — `row` must lie below the row
+  /// count captured with `read_ts`. Requires that tombstone entries above
+  /// `read_ts` have not been pruned (the min-pinned prune discipline
+  /// guarantees this for every live snapshot).
   bool IsValidAtTs(uint64_t row, uint64_t read_ts) const;
-
-  /// Commit timestamp of the insert that created `row` (0 = before any
-  /// snapshot: restored by a checkpoint, or appended without a stamp).
-  uint64_t insert_ts(uint64_t row) const {
-    DM_DCHECK(row < size_);
-    return insert_ts_[row];
-  }
 
   /// Entries currently buffered (prune-pressure signal for the owner).
   uint64_t tombstone_log_size() const { return tombstones_.size(); }
@@ -112,19 +108,17 @@ class ValidityVector {
   /// committed after `read_ts` resurrected from the tombstone log. O(words
   /// + log-suffix). Feeds the validity-masked SIMD kernels: a snapshot
   /// copies its at-ts bitmap once under the shared lock, then sweeps the
-  /// pinned main with no lock held. Requires every row < `rows` to have
-  /// been inserted at or before `read_ts` (always true for a Snapshot's
-  /// visible prefix — insert timestamps are monotone, which is also how
-  /// the precondition is DCHECKed) and, like IsValidAtTs, that entries
-  /// above `read_ts` have not been pruned.
+  /// pinned main with no lock held. Requires `rows` to be the row count
+  /// captured with `read_ts` (a Snapshot's horizon) and, like IsValidAtTs,
+  /// that entries above `read_ts` have not been pruned.
   std::vector<uint64_t> CopyWordsAtTs(uint64_t rows, uint64_t read_ts) const;
 
   /// Valid rows among the first `rows` rows.
   uint64_t CountValidPrefix(uint64_t rows) const;
 
   /// Rebuilds a vector of `rows` rows from checkpoint words (the inverse of
-  /// CopyWordsPrefix), every row stamped ts 0; the tombstone log starts
-  /// empty — recovery has no pinned snapshots.
+  /// CopyWordsPrefix), taking the words as they are; the tombstone log
+  /// starts empty — recovery has no pinned snapshots.
   static ValidityVector FromWords(std::vector<uint64_t> words, uint64_t rows);
 
  private:
@@ -136,8 +130,6 @@ class ValidityVector {
   std::vector<uint64_t> words_;
   uint64_t size_ = 0;
   uint64_t valid_count_ = 0;
-  /// Per-row insert commit timestamp (size_ entries).
-  std::vector<uint64_t> insert_ts_;
   /// Invalidation order == commit order, so ts is monotone non-decreasing.
   std::vector<Tombstone> tombstones_;
   /// row -> its invalidation ts, for unpruned entries only.

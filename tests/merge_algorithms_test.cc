@@ -332,6 +332,92 @@ TEST(MergeWidths, Width4) { WidthSweep<4>(); }
 TEST(MergeWidths, Width8) { WidthSweep<8>(); }
 TEST(MergeWidths, Width16) { WidthSweep<16>(); }
 
+/// The raw delta values the naive Step 2 re-searches (size() and Get(k),
+/// the layout contract of UpdateCompressedValuesNaive).
+struct DeltaValues {
+  std::vector<Value8> values;
+  uint64_t size() const { return values.size(); }
+  const Value8& Get(uint64_t k) const { return values[k]; }
+};
+
+/// The smallest cardinality whose codes take exactly `bits` bits.
+uint64_t CardinalityForBits(uint8_t bits) {
+  return bits == 1 ? 2 : (uint64_t{1} << (bits - 1)) + 1;
+}
+
+// Linear Step 2's block pipeline (Unpack, translate, append) against the naive
+// Step 2, which re-searches every value and writes codes one at a time:
+// old code widths 1-20, merged widths equal, +1 and +2, N_M not a multiple
+// of 64 (so one block spans N_M), serial and in teams. The translation
+// tables are built directly, so the merged dictionary can grow to 2^22
+// values without a delta of that size.
+TEST(MergeWidths, Step2BlocksMatchNaiveStep2) {
+  const uint64_t nm = 64 * 23 + 29;
+  const uint64_t nd = 700;
+  ThreadTeam team1(1), team3(3), team4(4);
+  for (uint8_t old_bits = 1; old_bits <= 20; ++old_bits) {
+    for (uint8_t grow = 0; grow <= 2; ++grow) {
+      SCOPED_TRACE(testing::Message() << "old bits " << int(old_bits)
+                                      << " grow " << int(grow));
+      const uint64_t um = CardinalityForBits(old_bits);
+      const uint64_t merged_size =
+          grow == 0 ? um : CardinalityForBits(old_bits + grow);
+      const uint8_t new_bits = BitsForCardinality(merged_size);
+      ASSERT_EQ(new_bits, old_bits + grow);
+
+      std::vector<Value8> merged(merged_size);
+      for (uint64_t r = 0; r < merged_size; ++r) {
+        merged[r] = Value8::FromKey(3 * r + 1);
+      }
+      // X_M: old rank c -> an increasing new rank, the last one on top.
+      std::vector<uint32_t> x_main(um);
+      std::vector<Value8> old_dict(um);
+      for (uint64_t c = 0; c < um; ++c) {
+        x_main[c] = static_cast<uint32_t>(
+            c == um - 1 ? merged_size - 1 : c * merged_size / um);
+        old_dict[c] = merged[x_main[c]];
+      }
+      Rng rng(old_bits * 7 + grow);
+      PackedVector main_codes(nm, old_bits);
+      for (uint64_t i = 0; i < nm; ++i) {
+        main_codes.Set(i, static_cast<uint32_t>(rng.Below(um)));
+      }
+      const auto main = MainPartition<8>::FromParts(
+          Dictionary<8>::FromSortedUnique(std::move(old_dict)),
+          std::move(main_codes));
+      // X_D: 50 delta codes onto any merged rank, one of them the top.
+      std::vector<uint32_t> x_delta(50);
+      for (uint32_t& x : x_delta) {
+        x = static_cast<uint32_t>(rng.Below(merged_size));
+      }
+      x_delta[7] = static_cast<uint32_t>(merged_size - 1);
+      std::vector<uint32_t> delta_codes(nd);
+      DeltaValues delta;
+      for (uint32_t& d : delta_codes) {
+        d = static_cast<uint32_t>(rng.Below(x_delta.size()));
+        delta.values.push_back(merged[x_delta[d]]);
+      }
+
+      const PackedVector naive = UpdateCompressedValuesNaive<8>(
+          main, delta, std::span<const Value8>(merged), new_bits);
+      const uint64_t data_words = PackedBytes(nm + nd, new_bits) / 8;
+      for (ThreadTeam* team : {&team1, &team3, &team4}) {
+        const PackedVector linear = UpdateCompressedValuesLinear<8>(
+            main, delta_codes, x_main, x_delta, new_bits, team);
+        ASSERT_EQ(linear.size(), nm + nd);
+        ASSERT_EQ(linear.bits(), new_bits);
+        for (uint64_t i = 0; i < nm + nd; ++i) {
+          ASSERT_EQ(linear.Get(i), naive.Get(i))
+              << "tuple " << i << " team " << team->size();
+        }
+        ASSERT_TRUE(std::equal(linear.words(), linear.words() + data_words,
+                               naive.words()))
+            << "the words differ past the last code";
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Step-level tests.
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Copyright (c) 2026 The DeltaMerge Authors.
 // Tests for PackedVector: roundtrips at every code width, word-boundary
-// straddling, reader/writer cursors, and the word-safety contract the
-// parallel merge relies on.
+// straddling, reader/writer cursors, the Unpack block decoder, and the
+// word-safety contract the parallel merge relies on.
 
 #include <gtest/gtest.h>
 
@@ -151,6 +151,47 @@ TEST_P(PackedVectorWidthTest, UnpackMatchesGet) {
       }
       ASSERT_EQ(out[count], 0xdeadbeef) << "wrote past the range";
     }
+  }
+}
+
+// The Writer's word contract at every width: it keeps the bits below a
+// mid-word start, and a code that ends exactly on a word boundary leaves the
+// next word alone.
+TEST_P(PackedVectorWidthTest, WriterKeepsWordsOutsideItsCodes) {
+  const uint8_t bits = static_cast<uint8_t>(GetParam());
+  const uint64_t n = 64 * 3;
+  const uint64_t mask = LowBitsMask(bits);
+  Rng rng(321 + bits);
+  auto random_vector = [&] {
+    PackedVector v(n, bits);
+    for (uint64_t i = 0; i < n; ++i) {
+      v.Set(i, static_cast<uint32_t>(rng.Next() & mask));
+    }
+    return v;
+  };
+
+  // Started mid-word (code 3 starts at bit 3 * bits, never a word boundary
+  // at these widths): codes 0..2 keep their values.
+  PackedVector mid = random_vector();
+  std::vector<uint32_t> low(3);
+  for (uint64_t i = 0; i < 3; ++i) low[i] = mid.Get(i);
+  PackedVector::Writer mid_writer(mid, 3);
+  mid_writer.Append(static_cast<uint32_t>(mask));
+  for (uint64_t i = 0; i < 3; ++i) ASSERT_EQ(mid.Get(i), low[i]) << i;
+  EXPECT_EQ(mid.Get(3), static_cast<uint32_t>(mask));
+
+  // The first run of codes from tuple 0 that ends exactly on a word
+  // boundary: the word after it keeps every bit.
+  PackedVector v = random_vector();
+  uint64_t k = 1;
+  while (k * bits % 64 != 0) ++k;
+  const uint64_t data_words = PackedBytes(n, bits) / sizeof(uint64_t);
+  const std::vector<uint64_t> before(v.words(), v.words() + data_words);
+  PackedVector::Writer w(v);
+  for (uint64_t i = 0; i < k; ++i) w.Append(static_cast<uint32_t>(i & mask));
+  for (uint64_t i = 0; i < k; ++i) ASSERT_EQ(v.Get(i), i & mask) << i;
+  for (uint64_t word = k * bits / 64; word < data_words; ++word) {
+    ASSERT_EQ(v.words()[word], before[word]) << "word " << word;
   }
 }
 

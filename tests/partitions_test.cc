@@ -127,6 +127,32 @@ TEST(Validity, AppendReturnsFirstNewRow) {
   EXPECT_EQ(v.size(), 15u);
 }
 
+// Append sets a partial head word, whole middle words and a partial tail
+// word; across splits at and around word boundaries, exactly the appended
+// rows read valid and the rows below each append keep their bits.
+TEST(Validity, AppendFillsPartialHeadAndTailWords) {
+  for (uint64_t a : {1, 5, 63, 64, 65, 100}) {
+    for (uint64_t b : {0, 1, 62, 63, 64, 129, 200}) {
+      ValidityVector v;
+      v.Append(a);
+      v.Invalidate(0);
+      EXPECT_EQ(v.Append(b), a);
+      v.Append(3);
+      const uint64_t n = a + b + 3;
+      ASSERT_EQ(v.size(), n);
+      for (uint64_t r = 0; r < n; ++r) {
+        ASSERT_EQ(v.IsValid(r), r != 0)
+            << "a " << a << " b " << b << " r " << r;
+      }
+      EXPECT_EQ(v.valid_count(), n - 1);
+      EXPECT_EQ(v.CountValidPrefix(n), n - 1);
+      uint64_t seen = 0;
+      v.ForEachValid([&](uint64_t) { ++seen; });
+      EXPECT_EQ(seen, n - 1);
+    }
+  }
+}
+
 TEST(Validity, ForEachValidSkipsTombstones) {
   ValidityVector v;
   v.Append(130);  // cross word boundaries

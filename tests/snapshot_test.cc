@@ -18,6 +18,9 @@
 #include "core/partitioned_table.h"
 #include "core/snapshot.h"
 #include "core/table.h"
+#include "durable_torture_util.h"
+#include "parallel/task_queue.h"
+#include "persist/durable_table.h"
 #include "reference_model.h"
 #include "storage/validity.h"
 #include "util/random.h"
@@ -128,16 +131,10 @@ TEST(EpochManager, SlotsAreReusable) {
 
 TEST(ValidityTombstones, IsValidAtTsReconstructsHistory) {
   ValidityVector v;
-  v.Append(2, /*ts=*/5);  // rows 0,1 committed at ts 5
-  v.Append(2, /*ts=*/7);  // rows 2,3 committed at ts 7
+  v.Append(2);  // rows 0,1
+  v.Append(2);  // rows 2,3
   v.Invalidate(1, /*ts=*/9);
   v.Invalidate(3, /*ts=*/12);
-
-  // Insert visibility: a row exists only at read_ts >= its insert ts.
-  EXPECT_FALSE(v.IsValidAtTs(0, 4));
-  EXPECT_TRUE(v.IsValidAtTs(0, 5));
-  EXPECT_FALSE(v.IsValidAtTs(2, 6));
-  EXPECT_TRUE(v.IsValidAtTs(2, 7));
 
   // Tombstone visibility: dead exactly from its invalidation ts onward.
   EXPECT_TRUE(v.IsValidAtTs(1, 8));
@@ -151,15 +148,11 @@ TEST(ValidityTombstones, IsValidAtTsReconstructsHistory) {
   v.Invalidate(1, /*ts=*/13);
   EXPECT_EQ(v.tombstone_log_size(), 2u);
   EXPECT_FALSE(v.IsValidAtTs(1, 9));  // original ts survives
-
-  // insert_ts accessor round-trips the stamps.
-  EXPECT_EQ(v.insert_ts(0), 5u);
-  EXPECT_EQ(v.insert_ts(3), 7u);
 }
 
 TEST(ValidityTombstones, TsZeroIsThePreMvccSentinel) {
   ValidityVector v;
-  v.Append(3);  // ts 0: visible to every read timestamp, even 0
+  v.Append(3);  // no insert stamp: alive at every read timestamp, even 0
   EXPECT_TRUE(v.IsValidAtTs(0, 0));
   EXPECT_TRUE(v.IsValidAtTs(2, 0));
   v.Invalidate(1, /*ts=*/4);
@@ -169,7 +162,7 @@ TEST(ValidityTombstones, TsZeroIsThePreMvccSentinel) {
 
 TEST(ValidityTombstones, PartialPruneKeepsLiveSuffix) {
   ValidityVector v;
-  v.Append(10, /*ts=*/1);
+  v.Append(10);
   uint64_t ts = 1;
   for (uint64_t row : {0ull, 2ull, 4ull, 6ull, 8ull}) v.Invalidate(row, ++ts);
   const uint64_t cut = ts;  // 6: every tombstone so far is at or below it
@@ -229,6 +222,147 @@ TEST(Snapshot, IsolatedFromLaterWritesAndDeletes) {
   EXPECT_FALSE(t.IsRowValid(0));
   EXPECT_EQ(snap.SumColumn(0), 21u);
   EXPECT_EQ(snap.GetKey(2 /*col c*/, 1), 31u);
+}
+
+/// What a snapshot answers about its rows: its horizon, IsRowValid for the
+/// first `probe_rows` rows, and the only_valid aggregates of column 0.
+struct SnapshotReadout {
+  uint64_t num_rows = 0;
+  uint64_t valid_rows = 0;
+  std::vector<bool> row_valid;
+  uint64_t count_valid = 0;
+  uint64_t sum_valid = 0;
+  std::vector<uint64_t> collect_valid;
+
+  bool operator==(const SnapshotReadout&) const = default;
+};
+
+SnapshotReadout ReadOut(const Snapshot& snap, uint64_t probe_rows) {
+  SnapshotReadout r;
+  r.num_rows = snap.num_rows();
+  r.valid_rows = snap.valid_rows();
+  for (uint64_t row = 0; row < probe_rows; ++row) {
+    r.row_valid.push_back(snap.IsRowValid(row));
+  }
+  r.count_valid = snap.CountRange(0, 10, 12, /*only_valid=*/true);
+  r.sum_valid = snap.SumColumn(0, /*only_valid=*/true);
+  r.collect_valid = snap.CollectEquals(0, 10, /*only_valid=*/true);
+  return r;
+}
+
+/// `rows` rows of ThreeColumnSchema keys, row-major, whose column 0 is 10 —
+/// the key the readout counts and collects, so a leaked row shows.
+std::vector<uint64_t> BatchKeys(uint64_t rows) {
+  std::vector<uint64_t> keys;
+  for (uint64_t r = 0; r < rows; ++r) {
+    keys.insert(keys.end(), {10, 20 + r, 30 + r});
+  }
+  return keys;
+}
+
+/// Captures a snapshot of `t`, runs `write` (which appends rows), and checks
+/// that the snapshot answers exactly as before: rows born after the capture
+/// lie past its horizon, which is all that hides them.
+template <typename WriteFn>
+void ExpectHorizonHidesLaterRows(Table& t, WriteFn write) {
+  Snapshot snap = t.CreateSnapshot();
+  const uint64_t horizon = snap.num_rows();
+  const uint64_t probe_rows = horizon + 200;
+  const SnapshotReadout before = ReadOut(snap, probe_rows);
+  write(t);
+  ASSERT_GT(t.num_rows(), horizon) << "the write appended no rows";
+  EXPECT_TRUE(t.IsRowValid(t.num_rows() - 1));
+  EXPECT_TRUE(ReadOut(snap, probe_rows) == before);
+  for (uint64_t row = horizon; row < t.num_rows(); ++row) {
+    ASSERT_FALSE(snap.IsRowValid(row)) << "row " << row;
+  }
+}
+
+void SeedRows(Table& t) {
+  t.InsertRow({10, 20, 30});
+  t.InsertRow({11, 21, 31});
+  t.InsertRow({12, 22, 32});
+  ASSERT_TRUE(t.DeleteRow(2).ok());
+}
+
+TEST(Snapshot, HorizonHidesRowsBornAfterCapture) {
+  {
+    SCOPED_TRACE("InsertRows, serial");
+    Table t(ThreeColumnSchema());
+    SeedRows(t);
+    ExpectHorizonHidesLaterRows(t, [](Table& w) {
+      w.InsertRows(BatchKeys(100), 100);
+    });
+  }
+  {
+    SCOPED_TRACE("InsertRows on a TaskQueue");
+    Table t(ThreeColumnSchema());
+    SeedRows(t);
+    TaskQueue queue(3);
+    ExpectHorizonHidesLaterRows(t, [&](Table& w) {
+      w.InsertRows(BatchKeys(100), 100, &queue);
+    });
+  }
+  {
+    SCOPED_TRACE("committed transaction with inserts");
+    Table t(ThreeColumnSchema());
+    SeedRows(t);
+    ExpectHorizonHidesLaterRows(t, [](Table& w) {
+      const std::vector<TxnOp> ops = {
+          {TxnOp::Kind::kInsert, 0, {10, 40, 50}},
+          {TxnOp::Kind::kInsert, 0, {11, 41, 51}},
+          {TxnOp::Kind::kUpdate, 1, {10, 42, 52}},
+      };
+      ASSERT_TRUE(w.CommitTxnOps(ops, {}).ok());
+    });
+  }
+}
+
+TEST(Snapshot, HorizonHidesRowsAfterReplayAndRestore) {
+  {
+    // Every row came back from a batch record replayed at reopen.
+    SCOPED_TRACE("rows replayed at reopen from a batch record");
+    testref::TortureScratchDir dir("horizon_replay");
+    {
+      auto dt = persist::DurableTable::Open(dir.path(), ThreeColumnSchema());
+      ASSERT_TRUE(dt.ok());
+      dt.ValueOrDie()->table().InsertRows(BatchKeys(150), 150);
+    }
+    auto dt = persist::DurableTable::Open(dir.path(), ThreeColumnSchema());
+    ASSERT_TRUE(dt.ok());
+    Table& t = dt.ValueOrDie()->table();
+    ASSERT_EQ(dt.ValueOrDie()->recovery().wal_ops_applied, 150u);
+    ASSERT_EQ(t.num_rows(), 150u);
+    ExpectHorizonHidesLaterRows(t, [](Table& w) {
+      w.InsertRows(BatchKeys(70), 70);
+      w.InsertRow({10, 1, 1});
+    });
+  }
+  {
+    // A checkpoint restores the first rows (no timestamps, clock seeded),
+    // the WAL tail replays the rest; later rows append after both.
+    SCOPED_TRACE("rows appended after a checkpoint-restored prefix");
+    testref::TortureScratchDir dir("horizon_restore");
+    {
+      auto dt = persist::DurableTable::Open(dir.path(), ThreeColumnSchema());
+      ASSERT_TRUE(dt.ok());
+      Table& t = dt.ValueOrDie()->table();
+      t.InsertRows(BatchKeys(130), 130);
+      ASSERT_TRUE(t.DeleteRow(5).ok());
+      ASSERT_TRUE(t.Merge(TableMergeOptions{}).ok());
+      t.InsertRow({11, 2, 2});
+    }
+    auto dt = persist::DurableTable::Open(dir.path(), ThreeColumnSchema());
+    ASSERT_TRUE(dt.ok());
+    Table& t = dt.ValueOrDie()->table();
+    ASSERT_TRUE(dt.ValueOrDie()->recovery().checkpoint_loaded);
+    ASSERT_EQ(dt.ValueOrDie()->recovery().checkpoint_rows, 130u);
+    ASSERT_EQ(t.num_rows(), 131u);
+    ExpectHorizonHidesLaterRows(t, [](Table& w) {
+      w.InsertRow({10, 3, 3});
+      w.InsertRows(BatchKeys(64), 64);
+    });
+  }
 }
 
 TEST(Snapshot, StableAcrossAFullMergeCommit) {
